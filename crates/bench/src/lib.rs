@@ -93,13 +93,18 @@ impl Table {
 
     /// Write as CSV under `results/`, returning the path.
     pub fn write_csv(&self) -> PathBuf {
+        self.write_csv_in(&results_dir())
+    }
+
+    /// Write as CSV into `dir`, returning the path.
+    pub fn write_csv_in(&self, dir: &Path) -> PathBuf {
         let name = self
             .title
             .to_lowercase()
             .chars()
             .map(|c| if c.is_alphanumeric() { c } else { '_' })
             .collect::<String>();
-        let path = results_dir().join(format!("{name}.csv"));
+        let path = dir.join(format!("{name}.csv"));
         let mut f = std::fs::File::create(&path).expect("create csv");
         writeln!(f, "{}", self.header.join(",")).expect("write header");
         for row in &self.rows {
@@ -469,8 +474,11 @@ mod tests {
     fn table_round_trip() {
         let mut t = Table::new("Test Table", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        let path = t.write_csv();
-        let s = std::fs::read_to_string(path).unwrap();
+        let dir = std::env::temp_dir().join(format!("pebblyn-table-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = t.write_csv_in(&dir);
+        let s = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(s, "a,b\n1,2\n");
     }
 

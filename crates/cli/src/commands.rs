@@ -491,8 +491,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 .map_err(|e| CliError::from_schedule_error(e, display_name(scheduler), budget))?
                 .into_schedule()
                 .expect("full request returns moves");
-            validate_schedule(cdag, budget, &schedule)?;
-            let trace = occupancy_trace(cdag, &schedule);
+            let trace = occupancy_trace(cdag, &schedule)?;
             let s = summarize(&trace);
             println!("{} under {scheme}, {}", g.name(), display_name(scheduler));
             println!(

@@ -20,11 +20,9 @@ pub enum CliError {
     Usage(String),
     /// The workload parameters do not name a constructible graph.
     Graph(ParamError),
-    /// A generated schedule failed validation — a scheduler bug.
+    /// A generated schedule (uniprocessor or multiprocessor) failed
+    /// validation — a scheduler bug.
     Validity(ValidityError),
-    /// A generated multiprocessor schedule failed validation — likewise a
-    /// scheduler bug.
-    MultiValidity(pebblyn::core::MultiValidityError),
     /// The scheduler cannot fit the workload within the budget.
     Infeasible {
         /// Human-readable scheduler name.
@@ -81,8 +79,9 @@ impl CliError {
                 budget,
                 min_feasible,
             },
-            ScheduleError::ValidationFailed(v) => CliError::Validity(v),
-            ScheduleError::MultiValidationFailed(v) => CliError::MultiValidity(v),
+            ScheduleError::ValidationFailed(v) | ScheduleError::MultiValidationFailed(v) => {
+                CliError::Validity(v)
+            }
         }
     }
 }
@@ -94,12 +93,6 @@ impl fmt::Display for CliError {
             CliError::Unsupported(m) | CliError::Target(m) => write!(f, "{m}"),
             CliError::Graph(e) => write!(f, "{e}"),
             CliError::Validity(e) => write!(f, "generated schedule failed validation: {e}"),
-            CliError::MultiValidity(e) => {
-                write!(
-                    f,
-                    "generated multiprocessor schedule failed validation: {e}"
-                )
-            }
             CliError::Infeasible {
                 scheduler,
                 budget,
@@ -128,7 +121,6 @@ impl std::error::Error for CliError {
         match self {
             CliError::Graph(e) => Some(e),
             CliError::Validity(e) => Some(e),
-            CliError::MultiValidity(e) => Some(e),
             CliError::Io { source, .. } => Some(source),
             _ => None,
         }
@@ -156,12 +148,6 @@ impl From<ParamError> for CliError {
 impl From<ValidityError> for CliError {
     fn from(e: ValidityError) -> Self {
         CliError::Validity(e)
-    }
-}
-
-impl From<pebblyn::core::MultiValidityError> for CliError {
-    fn from(e: pebblyn::core::MultiValidityError) -> Self {
-        CliError::MultiValidity(e)
     }
 }
 

@@ -543,11 +543,11 @@ fn check_graph_probes(
                 );
             }
 
-            // Trace agreement: the occupancy curve's peak is the
-            // validator's peak and never exceeds the budget.
-            let trace = occupancy_trace(g, &sched);
-            let trace_peak = trace.iter().copied().max().unwrap_or(0);
-            if trace_peak != stats.peak_red_weight || trace_peak > b {
+            // Trace agreement: the occupancy curve replays cleanly, its
+            // peak is the validator's peak, and it never exceeds the budget.
+            let trace_peak =
+                occupancy_trace(g, &sched).map(|trace| trace.into_iter().max().unwrap_or(0));
+            if trace_peak != Ok(stats.peak_red_weight) || stats.peak_red_weight > b {
                 push(
                     out,
                     Violation {
@@ -555,7 +555,7 @@ fn check_graph_probes(
                         scheduler: s.name().into(),
                         budget: b,
                         detail: format!(
-                            "occupancy_trace peak {trace_peak} vs validator peak {} (budget {b})",
+                            "occupancy_trace peak {trace_peak:?} vs validator peak {} (budget {b})",
                             stats.peak_red_weight
                         ),
                     },

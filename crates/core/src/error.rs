@@ -1,7 +1,7 @@
 //! Error types for graph construction and schedule validation.
 
 use crate::graph::{NodeId, Weight};
-use crate::moves::Move;
+use crate::multi::MultiMove;
 use std::fmt;
 
 /// Errors raised when building a [`crate::Cdag`].
@@ -20,6 +20,9 @@ pub enum GraphError {
     /// A node is isolated, making it both a source and a sink, which the
     /// model forbids (`A(G) ∩ Z(G) = ∅`).
     SourceIsSink(NodeId),
+    /// The node weights sum past `u64::MAX`, so red-set and cost sums
+    /// could wrap.
+    WeightOverflow,
 }
 
 impl fmt::Display for GraphError {
@@ -33,62 +36,92 @@ impl fmt::Display for GraphError {
             GraphError::SourceIsSink(v) => {
                 write!(f, "node {v} is isolated (both source and sink)")
             }
+            GraphError::WeightOverflow => write!(f, "node weights sum past 2^64 - 1"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
 
-/// Errors raised when replaying a schedule against the game rules
-/// (see [`crate::validate::validate_schedule`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The rule a schedule broke, with the offending step, as found by the
+/// replay kernel ([`crate::replay::replay`]).  Every replayer — the
+/// validators, the executable machines and the occupancy trace — reports
+/// this one type, so a schedule gets the same verdict whichever replays
+/// it.  Uniprocessor moves appear on processor 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidityError {
+    /// A move names a processor the machine does not have.
+    UnknownProc {
+        /// Index of the offending move in the schedule.
+        step: usize,
+        /// The offending move.
+        mv: MultiMove,
+        /// Number of processors in the machine.
+        procs: usize,
+    },
     /// M1 applied to a node without a blue pebble.
     LoadWithoutBlue {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
+        mv: MultiMove,
     },
-    /// M2 applied to a node without a red pebble.
+    /// M2 applied to a node not red on the acting processor.
     StoreWithoutRed {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
+        mv: MultiMove,
     },
     /// M3 applied to a source node (inputs are never computed).
     ComputeSource {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
+        mv: MultiMove,
     },
-    /// M3 applied while some predecessor lacks a red pebble.
+    /// M3 applied while some predecessor is not red on the acting
+    /// processor.
     ComputeWithoutOperands {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
-        /// The predecessor that is missing a red pebble.
+        mv: MultiMove,
+        /// The first predecessor (in predecessor order) that is not red.
         missing: NodeId,
     },
-    /// M4 applied to a node without a red pebble.
+    /// M4 applied to a node not red on the acting processor.
     DeleteWithoutRed {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
+        mv: MultiMove,
     },
-    /// The weighted red-pebble constraint `Σ w_v ≤ B` was violated.
+    /// Comm whose sender does not hold the node red.
+    CommWithoutRed {
+        /// Index of the offending move in the schedule.
+        step: usize,
+        /// The offending move.
+        mv: MultiMove,
+    },
+    /// Comm from a processor to itself.
+    CommToSelf {
+        /// Index of the offending move in the schedule.
+        step: usize,
+        /// The offending move.
+        mv: MultiMove,
+    },
+    /// A processor's red weight exceeded its budget `B` after a move.
     BudgetExceeded {
         /// Index of the offending move in the schedule.
         step: usize,
         /// The offending move.
-        mv: Move,
-        /// Total red weight after the move.
+        mv: MultiMove,
+        /// The overloaded processor.
+        proc: usize,
+        /// Its red weight after the move.
         used: Weight,
-        /// The budget `B`.
+        /// Its budget.
         budget: Weight,
     },
     /// The schedule finished but some sink lacks a blue pebble.
@@ -96,37 +129,55 @@ pub enum ValidityError {
         /// A sink node without a blue pebble at the end of the schedule.
         sink: NodeId,
     },
+    /// A cost, communication or clock sum exceeded `u64::MAX` bits.
+    WeightOverflow {
+        /// Index of the move whose weight overflowed the sum.
+        step: usize,
+        /// That move.
+        mv: MultiMove,
+    },
 }
 
 impl fmt::Display for ValidityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ValidityError::*;
         match self {
-            ValidityError::LoadWithoutBlue { step, mv } => {
+            UnknownProc { step, mv, procs } => {
+                write!(f, "step {step}: {mv} names a processor >= p={procs}")
+            }
+            LoadWithoutBlue { step, mv } => {
                 write!(f, "step {step}: {mv} requires a blue pebble")
             }
-            ValidityError::StoreWithoutRed { step, mv } => {
+            StoreWithoutRed { step, mv } | DeleteWithoutRed { step, mv } => {
                 write!(f, "step {step}: {mv} requires a red pebble")
             }
-            ValidityError::ComputeSource { step, mv } => {
+            ComputeSource { step, mv } => {
                 write!(f, "step {step}: {mv} targets a source node")
             }
-            ValidityError::ComputeWithoutOperands { step, mv, missing } => {
+            ComputeWithoutOperands { step, mv, missing } => {
                 write!(f, "step {step}: {mv} but predecessor {missing} is not red")
             }
-            ValidityError::DeleteWithoutRed { step, mv } => {
-                write!(f, "step {step}: {mv} requires a red pebble")
+            CommWithoutRed { step, mv } => {
+                write!(f, "step {step}: {mv} but the sender holds no red pebble")
             }
-            ValidityError::BudgetExceeded {
+            CommToSelf { step, mv } => {
+                write!(f, "step {step}: {mv} communicates to its own processor")
+            }
+            BudgetExceeded {
                 step,
                 mv,
+                proc,
                 used,
                 budget,
             } => write!(
                 f,
-                "step {step}: {mv} exceeds weighted budget ({used} > {budget})"
+                "step {step}: {mv} exceeds processor {proc}'s weighted budget ({used} > {budget})"
             ),
-            ValidityError::StoppingConditionUnmet { sink } => {
+            StoppingConditionUnmet { sink } => {
                 write!(f, "sink {sink} has no blue pebble at end of schedule")
+            }
+            WeightOverflow { step, mv } => {
+                write!(f, "step {step}: {mv} overflows a 64-bit weight sum")
             }
         }
     }
@@ -142,7 +193,11 @@ mod tests {
     fn display_is_informative() {
         let e = ValidityError::BudgetExceeded {
             step: 3,
-            mv: Move::Load(NodeId(1)),
+            mv: MultiMove::Load {
+                proc: 0,
+                node: NodeId(1),
+            },
+            proc: 0,
             used: 48,
             budget: 32,
         };

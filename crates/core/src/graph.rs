@@ -156,7 +156,8 @@ impl Cdag {
         &self.topo
     }
 
-    /// Sum of all node weights.
+    /// Sum of all node weights (construction guarantees it fits a
+    /// [`Weight`]).
     pub fn total_weight(&self) -> Weight {
         self.weights.iter().sum()
     }
@@ -325,6 +326,7 @@ impl Cdag {
     ///
     /// The same structural invariants as [`CdagBuilder::build`]:
     /// [`GraphError::Empty`], [`GraphError::ZeroWeight`],
+    /// [`GraphError::WeightOverflow`],
     /// [`GraphError::BadEdge`] (out-of-range endpoint or self-loop),
     /// [`GraphError::DuplicateEdge`] (repeated predecessor of one node),
     /// [`GraphError::Cycle`], and [`GraphError::SourceIsSink`].
@@ -355,9 +357,7 @@ impl Cdag {
             pred_off[n] as usize, m,
             "pred_off must end at pred_adj.len()"
         );
-        if let Some(v) = weights.iter().position(|&w| w == 0) {
-            return Err(GraphError::ZeroWeight(NodeId(v as u32)));
-        }
+        check_weights(&weights)?;
 
         // Endpoint / self-loop / duplicate checks with a stamp array: node v
         // stamps each predecessor slot with v + 1, so a repeat within one
@@ -549,6 +549,8 @@ impl CdagBuilder {
     ///
     /// * [`GraphError::Empty`] — no nodes,
     /// * [`GraphError::ZeroWeight`] — some `w_v = 0` (weights must be `> 0`),
+    /// * [`GraphError::WeightOverflow`] — `Σ w_v` exceeds `u64::MAX`, so
+    ///   red-set and budget sums could wrap,
     /// * [`GraphError::BadEdge`] — an edge endpoint is out of range or a
     ///   self-loop,
     /// * [`GraphError::DuplicateEdge`] — an edge is listed twice,
@@ -561,9 +563,7 @@ impl CdagBuilder {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        if let Some(v) = self.weights.iter().position(|&w| w == 0) {
-            return Err(GraphError::ZeroWeight(NodeId(v as u32)));
-        }
+        check_weights(&self.weights)?;
         assert!(m <= u32::MAX as usize, "edge count exceeds u32 CSR offsets");
         let mut seen = std::collections::HashSet::with_capacity(m);
         for &(a, b) in &self.edges {
@@ -648,6 +648,16 @@ impl CdagBuilder {
             sinks,
         })
     }
+}
+
+/// Weights must be positive and sum to at most `u64::MAX`, so no subset
+/// sum (a red set, a blue set, a budget check) can wrap.
+fn check_weights(weights: &[Weight]) -> Result<(), GraphError> {
+    if let Some(v) = weights.iter().position(|&w| w == 0) {
+        return Err(GraphError::ZeroWeight(NodeId(v as u32)));
+    }
+    let total = weights.iter().try_fold(0, |t: Weight, &w| t.checked_add(w));
+    total.map(drop).ok_or(GraphError::WeightOverflow)
 }
 
 #[cfg(test)]
@@ -892,6 +902,23 @@ mod tests {
             Cdag::from_csr(vec![1, 1, 1], vec![0, 0, 1, 1], vec![NodeId(0)]),
             Err(GraphError::SourceIsSink(NodeId(2)))
         ));
+    }
+
+    #[test]
+    fn both_constructors_reject_weight_sums_past_u64() {
+        let half = 1 << 63;
+        let mut b = CdagBuilder::new();
+        let x = b.unnamed(half);
+        let y = b.unnamed(half);
+        b.edge(x, y);
+        assert_eq!(b.build().unwrap_err(), GraphError::WeightOverflow);
+        assert_eq!(
+            Cdag::from_csr(vec![half, half], vec![0, 0, 1], vec![NodeId(0)]).unwrap_err(),
+            GraphError::WeightOverflow
+        );
+        // Exactly u64::MAX in total still fits.
+        let g = Cdag::from_csr(vec![half, half - 1], vec![0, 0, 1], vec![NodeId(0)]).unwrap();
+        assert_eq!(g.total_weight(), u64::MAX);
     }
 
     #[test]

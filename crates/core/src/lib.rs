@@ -27,8 +27,9 @@
 //!
 //! * [`Cdag`] / [`CdagBuilder`] — the weighted graph representation,
 //! * [`Move`], [`Schedule`] — schedules as first-class values,
-//! * [`validate`] — an independent replayer that checks every game rule and
-//!   the weighted budget at every step, and reports exact statistics,
+//! * [`replay`](mod@replay) — the one kernel checking every game rule and
+//!   the weighted budget at every step, for 1 or `p` processors; schedule
+//!   [`validate`]ion with exact statistics is one of its observers,
 //! * [`bounds`] — the algorithmic lower bound (Prop. 2.4), the schedule
 //!   existence criterion (Prop. 2.3), the minimum feasible budget, and
 //!   admissible per-state lower bounds ([`StateBounds`]) for best-first
@@ -47,11 +48,11 @@ pub mod error;
 pub mod fasthash;
 pub mod graph;
 pub mod io;
-pub mod label;
 pub mod mask;
 pub mod moves;
 pub mod multi;
 pub mod redset;
+pub mod replay;
 pub mod request;
 pub mod schedule;
 pub mod spec;
@@ -67,13 +68,11 @@ pub use bounds::{
 pub use error::{GraphError, ValidityError};
 pub use fasthash::{pack_key, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use graph::{Cdag, CdagBuilder, NodeId, Weight};
-pub use label::{Label, PebbleState};
 pub use mask::{mask_iter, mask_weight, StateMask, Words};
 pub use moves::Move;
-pub use multi::{
-    validate_multi_schedule, MultiMove, MultiSchedule, MultiStats, MultiValidityError,
-};
+pub use multi::{validate_multi_schedule, MultiMove, MultiSchedule, MultiStats, MultiTally};
 pub use redset::RedSet;
+pub use replay::{replay, Board, Observer, Played, Uni};
 pub use request::{ScheduleRequest, ScheduleResponse};
 pub use schedule::Schedule;
 pub use spec::{MachineSpec, ProcBudget, DEFAULT_COMM_PRICE};

@@ -22,18 +22,18 @@
 //!   a communication synchronizes both endpoints for `comm_price · w(v)`,
 //!   and deletes are free.
 //!
-//! [`validate_multi_schedule`] replays a [`MultiSchedule`] against every
-//! rule — per-processor budgets after every move, shared-blue
-//! preconditions, the sinks-end-blue stopping condition — and reports
-//! [`MultiStats`] (both objectives plus per-processor occupancy), mirroring
-//! the single-processor `validate_schedule`.  A `p = 1` multi schedule with
-//! no communication moves projects losslessly onto a classic [`Schedule`]
-//! via [`MultiSchedule::project_single`], which is how the conformance
-//! oracle checks p=1 equivalence byte-for-byte.
+//! [`validate_multi_schedule`] replays a [`MultiSchedule`] through the
+//! same rule kernel as the single-processor `validate_schedule`
+//! ([`crate::replay()`]) and reports [`MultiStats`] (both objectives plus
+//! per-processor occupancy) from a [`MultiTally`].  A `p = 1` multi
+//! schedule with no communication moves projects losslessly onto a classic
+//! [`Schedule`] via [`MultiSchedule::project_single`], which is how the
+//! conformance oracle checks p=1 equivalence byte-for-byte.
 
+use crate::error::ValidityError;
 use crate::graph::{Cdag, NodeId, Weight};
 use crate::moves::Move;
-use crate::redset::RedSet;
+use crate::replay::{replay, Observer, Played};
 use crate::schedule::Schedule;
 use crate::spec::MachineSpec;
 use std::fmt;
@@ -94,6 +94,17 @@ impl MultiMove {
             | MultiMove::Compute { node, .. }
             | MultiMove::Delete { node, .. }
             | MultiMove::Comm { node, .. } => node,
+        }
+    }
+
+    /// The same move, on the same processors, targeting `node`.
+    fn with_node(self, node: NodeId) -> MultiMove {
+        match self {
+            MultiMove::Load { proc, .. } => MultiMove::Load { proc, node },
+            MultiMove::Store { proc, .. } => MultiMove::Store { proc, node },
+            MultiMove::Compute { proc, .. } => MultiMove::Compute { proc, node },
+            MultiMove::Delete { proc, .. } => MultiMove::Delete { proc, node },
+            MultiMove::Comm { from, to, .. } => MultiMove::Comm { from, to, node },
         }
     }
 
@@ -165,12 +176,10 @@ impl MultiSchedule {
     /// Lift a single-processor schedule onto processor 0 of a
     /// multiprocessor machine.
     pub fn from_single(schedule: &Schedule) -> Self {
-        MultiSchedule {
-            moves: schedule
-                .iter()
-                .map(|m| MultiMove::from_single(m, 0))
-                .collect(),
-        }
+        schedule
+            .iter()
+            .map(|m| MultiMove::from_single(m, 0))
+            .collect()
     }
 
     /// Project back onto the single-processor game: succeeds exactly when
@@ -214,35 +223,7 @@ impl MultiSchedule {
     /// [`Schedule::map_nodes`], used to transport cached answers between
     /// isomorphic labelings.  Processor indices are untouched.
     pub fn map_nodes(&self, f: impl Fn(NodeId) -> NodeId) -> MultiSchedule {
-        MultiSchedule {
-            moves: self
-                .moves
-                .iter()
-                .map(|&m| match m {
-                    MultiMove::Load { proc, node } => MultiMove::Load {
-                        proc,
-                        node: f(node),
-                    },
-                    MultiMove::Store { proc, node } => MultiMove::Store {
-                        proc,
-                        node: f(node),
-                    },
-                    MultiMove::Compute { proc, node } => MultiMove::Compute {
-                        proc,
-                        node: f(node),
-                    },
-                    MultiMove::Delete { proc, node } => MultiMove::Delete {
-                        proc,
-                        node: f(node),
-                    },
-                    MultiMove::Comm { from, to, node } => MultiMove::Comm {
-                        from,
-                        to,
-                        node: f(node),
-                    },
-                })
-                .collect(),
-        }
+        self.iter().map(|m| m.with_node(f(m.node()))).collect()
     }
 }
 
@@ -277,142 +258,8 @@ impl FromIterator<MultiMove> for MultiSchedule {
     }
 }
 
-/// Why a multiprocessor schedule is invalid (with the offending step).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MultiValidityError {
-    /// A move names a processor the machine does not have.
-    UnknownProc {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-        /// Number of processors in the spec.
-        procs: usize,
-    },
-    /// M1 of a node with no blue pebble.
-    LoadWithoutBlue {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// M2 of a node not red on the acting processor.
-    StoreWithoutRed {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// M3 of a source node.
-    ComputeSource {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// M3 with predecessors missing from the acting processor's red set.
-    ComputeWithoutOperands {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-        /// Predecessors not red on the acting processor.
-        missing: Vec<NodeId>,
-    },
-    /// M4 of a node not red on the acting processor.
-    DeleteWithoutRed {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// M5 whose source processor does not hold the node red.
-    CommWithoutRed {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// M5 from a processor to itself.
-    CommToSelf {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-    },
-    /// A processor's red weight exceeded its budget after a move.
-    BudgetExceeded {
-        /// 0-based move index.
-        step: usize,
-        /// The offending move.
-        mv: MultiMove,
-        /// The overloaded processor.
-        proc: usize,
-        /// Red weight on `proc` after the move.
-        used: Weight,
-        /// `proc`'s budget.
-        budget: Weight,
-    },
-    /// A sink ended the schedule without a blue pebble.
-    StoppingConditionUnmet {
-        /// The uncovered sink.
-        sink: NodeId,
-    },
-}
-
-impl fmt::Display for MultiValidityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use MultiValidityError::*;
-        match self {
-            UnknownProc { step, mv, procs } => {
-                write!(f, "step {step}: {mv} names a processor >= p={procs}")
-            }
-            LoadWithoutBlue { step, mv } => {
-                write!(f, "step {step}: {mv} loads a node with no blue pebble")
-            }
-            StoreWithoutRed { step, mv } => write!(
-                f,
-                "step {step}: {mv} stores a node not red on the acting processor"
-            ),
-            ComputeSource { step, mv } => {
-                write!(f, "step {step}: {mv} computes a source node")
-            }
-            ComputeWithoutOperands { step, mv, missing } => write!(
-                f,
-                "step {step}: {mv} computes with operands {missing:?} not red on the processor"
-            ),
-            DeleteWithoutRed { step, mv } => write!(
-                f,
-                "step {step}: {mv} deletes a node not red on the acting processor"
-            ),
-            CommWithoutRed { step, mv } => write!(
-                f,
-                "step {step}: {mv} communicates a node not red on the sender"
-            ),
-            CommToSelf { step, mv } => {
-                write!(f, "step {step}: {mv} communicates a node to its own holder")
-            }
-            BudgetExceeded {
-                step,
-                mv,
-                proc,
-                used,
-                budget,
-            } => write!(
-                f,
-                "step {step}: {mv} leaves processor {proc} at {used} red bits > budget {budget}"
-            ),
-            StoppingConditionUnmet { sink } => {
-                write!(f, "sink {sink} holds no blue pebble at the end")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MultiValidityError {}
-
 /// Exact statistics of a replay-validated multiprocessor schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultiStats {
     /// Weighted M1+M2 cost summed over all processors (Definition 2.2),
     /// *excluding* communication.
@@ -453,153 +300,95 @@ impl MultiStats {
     }
 }
 
+/// Accumulates [`MultiStats`] as an observer of the replay kernel: both
+/// objectives, per-processor occupancy, and the makespan clocks of the
+/// timing model in the module docs.  Every cost, communication and clock
+/// sum is checked, including `io_cost + comm_cost`.
+#[derive(Debug, Clone)]
+pub struct MultiTally {
+    stats: MultiStats,
+    comm_price: Weight,
+    /// Per-processor clocks.
+    clock: Vec<Weight>,
+    /// The time each node's blue copy becomes readable.
+    avail_blue: Vec<Weight>,
+}
+
+impl MultiTally {
+    /// A tally for replaying on `graph` under `spec`.
+    pub fn new(graph: &Cdag, spec: &MachineSpec) -> Self {
+        let p = spec.num_procs();
+        MultiTally {
+            stats: MultiStats {
+                peak_red: vec![0; p],
+                computes_per_proc: vec![0; p],
+                ..MultiStats::default()
+            },
+            comm_price: spec.comm_price(),
+            clock: vec![0; p],
+            avail_blue: vec![0; graph.len()],
+        }
+    }
+
+    /// The statistics, with the makespan read off the clocks.
+    pub fn finish(self) -> MultiStats {
+        MultiStats {
+            makespan: self.clock.into_iter().max().unwrap_or(0),
+            ..self.stats
+        }
+    }
+}
+
+impl Observer for MultiTally {
+    fn observe(&mut self, p: Played) -> Option<()> {
+        let (s, clock, w) = (&mut self.stats, &mut self.clock, p.weight);
+        s.moves += 1;
+        s.peak_red[p.proc] = s.peak_red[p.proc].max(p.red);
+        match p.mv {
+            MultiMove::Load { proc, node } => {
+                s.io_cost = s.io_cost.checked_add(w)?;
+                s.input_cost += w;
+                clock[proc] = clock[proc]
+                    .max(self.avail_blue[node.index()])
+                    .checked_add(w)?;
+            }
+            MultiMove::Store { proc, node } => {
+                s.io_cost = s.io_cost.checked_add(w)?;
+                s.output_cost += w;
+                clock[proc] = clock[proc].checked_add(w)?;
+                if p.first_blue {
+                    self.avail_blue[node.index()] = clock[proc];
+                }
+            }
+            MultiMove::Compute { proc, .. } => {
+                clock[proc] = clock[proc].checked_add(w)?;
+                s.computes_per_proc[proc] += 1;
+            }
+            MultiMove::Delete { .. } => {}
+            MultiMove::Comm { from, to, .. } => {
+                let traffic = self.comm_price.checked_mul(w)?;
+                s.comm_cost = s.comm_cost.checked_add(traffic)?;
+                s.comm_moves += 1;
+                let t = clock[from].max(clock[to]).checked_add(traffic)?;
+                clock[from] = t;
+                clock[to] = t;
+            }
+        }
+        s.io_cost.checked_add(s.comm_cost).map(drop)
+    }
+}
+
 /// Replay `schedule` on `graph` under `spec`, checking every rule of the
-/// multiprocessor game, and return exact statistics.
-///
-/// Rules checked (mirroring the single-processor `validate_moves`):
-/// every processor index exists; M1 needs a blue pebble; M2/M4 need a red
-/// pebble on the acting processor; M3 needs a non-source node with every
-/// predecessor red **on the acting processor**; M5 needs the value red on
-/// the sender and distinct endpoints; after every red-set insertion the
-/// owning processor's weighted budget holds; and every sink ends blue.
+/// multiprocessor game (see [`crate::replay::replay`]), and return exact
+/// statistics.
 pub fn validate_multi_schedule(
     graph: &Cdag,
     spec: &MachineSpec,
     schedule: &MultiSchedule,
-) -> Result<MultiStats, MultiValidityError> {
-    use MultiValidityError::*;
-    let p = spec.num_procs();
-    let mut red: Vec<RedSet> = (0..p).map(|_| RedSet::new(graph.len())).collect();
-    let mut blue = RedSet::new(graph.len());
-    // Per-processor clocks and the time each blue copy becomes readable.
-    let mut clock: Vec<Weight> = vec![0; p];
-    let mut avail_blue: Vec<Weight> = vec![0; graph.len()];
-    for &v in graph.sources() {
-        blue.insert(v, graph.weight(v));
-    }
-
-    let mut stats = MultiStats {
-        io_cost: 0,
-        input_cost: 0,
-        output_cost: 0,
-        comm_cost: 0,
-        comm_moves: 0,
-        makespan: 0,
-        peak_red: vec![0; p],
-        computes_per_proc: vec![0; p],
-        moves: schedule.len() as u64,
-    };
-
-    let check_budget = |red: &[RedSet],
-                        stats: &mut MultiStats,
-                        step: usize,
-                        mv: MultiMove,
-                        q: usize|
-     -> Result<(), MultiValidityError> {
-        let used = red[q].weight();
-        stats.peak_red[q] = stats.peak_red[q].max(used);
-        if used > spec.proc_budget(q) {
-            return Err(BudgetExceeded {
-                step,
-                mv,
-                proc: q,
-                used,
-                budget: spec.proc_budget(q),
-            });
-        }
-        Ok(())
-    };
-
-    for (step, mv) in schedule.iter().enumerate() {
-        match mv {
-            MultiMove::Load { proc, node } => {
-                if proc >= p {
-                    return Err(UnknownProc { step, mv, procs: p });
-                }
-                if !blue.contains(node) {
-                    return Err(LoadWithoutBlue { step, mv });
-                }
-                let w = graph.weight(node);
-                stats.io_cost += w;
-                stats.input_cost += w;
-                clock[proc] = clock[proc].max(avail_blue[node.index()]) + w;
-                red[proc].insert(node, w);
-                check_budget(&red, &mut stats, step, mv, proc)?;
-            }
-            MultiMove::Store { proc, node } => {
-                if proc >= p {
-                    return Err(UnknownProc { step, mv, procs: p });
-                }
-                if !red[proc].contains(node) {
-                    return Err(StoreWithoutRed { step, mv });
-                }
-                let w = graph.weight(node);
-                stats.io_cost += w;
-                stats.output_cost += w;
-                clock[proc] += w;
-                if blue.insert(node, w) {
-                    avail_blue[node.index()] = clock[proc];
-                }
-            }
-            MultiMove::Compute { proc, node } => {
-                if proc >= p {
-                    return Err(UnknownProc { step, mv, procs: p });
-                }
-                if graph.is_source(node) {
-                    return Err(ComputeSource { step, mv });
-                }
-                let missing: Vec<NodeId> = graph
-                    .preds(node)
-                    .iter()
-                    .copied()
-                    .filter(|&u| !red[proc].contains(u))
-                    .collect();
-                if !missing.is_empty() {
-                    return Err(ComputeWithoutOperands { step, mv, missing });
-                }
-                let w = graph.weight(node);
-                clock[proc] += w;
-                stats.computes_per_proc[proc] += 1;
-                red[proc].insert(node, w);
-                check_budget(&red, &mut stats, step, mv, proc)?;
-            }
-            MultiMove::Delete { proc, node } => {
-                if proc >= p {
-                    return Err(UnknownProc { step, mv, procs: p });
-                }
-                if !red[proc].remove(node, graph.weight(node)) {
-                    return Err(DeleteWithoutRed { step, mv });
-                }
-            }
-            MultiMove::Comm { from, to, node } => {
-                if from >= p || to >= p {
-                    return Err(UnknownProc { step, mv, procs: p });
-                }
-                if from == to {
-                    return Err(CommToSelf { step, mv });
-                }
-                if !red[from].contains(node) {
-                    return Err(CommWithoutRed { step, mv });
-                }
-                let w = graph.weight(node);
-                stats.comm_cost += spec.comm_price() * w;
-                stats.comm_moves += 1;
-                let t = clock[from].max(clock[to]) + spec.comm_price() * w;
-                clock[from] = t;
-                clock[to] = t;
-                red[to].insert(node, w);
-                check_budget(&red, &mut stats, step, mv, to)?;
-            }
-        }
-    }
-
-    for &v in graph.sinks() {
-        if !blue.contains(v) {
-            return Err(StoppingConditionUnmet { sink: v });
-        }
-    }
-    stats.makespan = clock.into_iter().max().unwrap_or(0);
-    Ok(stats)
+) -> Result<MultiStats, ValidityError> {
+    let mut tally = MultiTally::new(graph, spec);
+    replay(graph, spec, schedule.iter(), &mut tally)?;
+    Ok(tally.finish())
 }
 
 #[cfg(test)]
@@ -712,7 +501,7 @@ mod tests {
         ]);
         assert!(matches!(
             validate_multi_schedule(&g, &spec, &on_p0),
-            Err(MultiValidityError::StoppingConditionUnmet { .. })
+            Err(ValidityError::StoppingConditionUnmet { .. })
         ));
         // Same prefix on p1 blows its 16-bit budget at the compute.
         let on_p1 = MultiSchedule::from_moves(vec![
@@ -720,7 +509,7 @@ mod tests {
             MultiMove::Compute { proc: 1, node: y },
         ]);
         match validate_multi_schedule(&g, &spec, &on_p1) {
-            Err(MultiValidityError::BudgetExceeded {
+            Err(ValidityError::BudgetExceeded {
                 proc, used, budget, ..
             }) => {
                 assert_eq!(proc, 1);
@@ -740,8 +529,8 @@ mod tests {
             MultiMove::Compute { proc: 1, node: y }, // x red on p0, not p1
         ]);
         match validate_multi_schedule(&g, &spec, &sched) {
-            Err(MultiValidityError::ComputeWithoutOperands { missing, .. }) => {
-                assert_eq!(missing, vec![x]);
+            Err(ValidityError::ComputeWithoutOperands { missing, .. }) => {
+                assert_eq!(missing, x);
             }
             other => panic!("expected missing operands, got {other:?}"),
         }
@@ -758,7 +547,7 @@ mod tests {
         }]);
         assert!(matches!(
             validate_multi_schedule(&g, &spec, &no_red),
-            Err(MultiValidityError::CommWithoutRed { .. })
+            Err(ValidityError::CommWithoutRed { .. })
         ));
         let to_self = MultiSchedule::from_moves(vec![
             MultiMove::Load { proc: 0, node: x },
@@ -770,7 +559,7 @@ mod tests {
         ]);
         assert!(matches!(
             validate_multi_schedule(&g, &spec, &to_self),
-            Err(MultiValidityError::CommToSelf { .. })
+            Err(ValidityError::CommToSelf { .. })
         ));
     }
 
@@ -786,13 +575,34 @@ mod tests {
         ]);
         assert!(matches!(
             validate_multi_schedule(&g, &spec, &incomplete),
-            Err(MultiValidityError::StoppingConditionUnmet { sink }) if sink == z
+            Err(ValidityError::StoppingConditionUnmet { sink }) if sink == z
         ));
         let bad_proc = MultiSchedule::from_moves(vec![MultiMove::Load { proc: 2, node: x }]);
         assert!(matches!(
             validate_multi_schedule(&g, &spec, &bad_proc),
-            Err(MultiValidityError::UnknownProc { procs: 2, .. })
+            Err(ValidityError::UnknownProc { procs: 2, .. })
         ));
+    }
+
+    #[test]
+    fn priced_comm_overflow_is_an_error_not_a_wrap() {
+        let (g, x, _y, _z) = fork();
+        let spec = MachineSpec::symmetric(2, 64).with_comm_price(u64::MAX / 8);
+        let sched = MultiSchedule::from_moves(vec![
+            MultiMove::Load { proc: 0, node: x },
+            MultiMove::Comm {
+                from: 0,
+                to: 1,
+                node: x,
+            },
+        ]);
+        assert_eq!(
+            validate_multi_schedule(&g, &spec, &sched),
+            Err(ValidityError::WeightOverflow {
+                step: 1,
+                mv: sched.moves()[1]
+            })
+        );
     }
 
     #[test]

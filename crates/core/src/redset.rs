@@ -1,12 +1,10 @@
 //! Fixed-width bitset over node ids with resident-weight tracking.
 //!
 //! Red-set membership is the single hottest query in the workspace: the
-//! validator, the machine replayer, Belady-style eviction, and the
-//! exhaustive solver all ask "does `v` hold a red pebble, and what do the
-//! red pebbles weigh?" on every move.  [`RedSet`] answers both in O(1) from
-//! a flat `u64`-word bitset plus one cached weight, and exposes the raw
-//! words so whole-set operations (hashing, equality, iteration) cost
-//! O(words) instead of O(nodes).
+//! replay kernel (behind the validators and the machines) and Belady-style
+//! eviction ask "does `v` hold a red pebble, and what do the red pebbles
+//! weigh?" on every move.  [`RedSet`] answers both in O(1) from a flat
+//! `u64`-word bitset plus one cached weight.
 
 use crate::graph::{NodeId, Weight};
 
@@ -73,46 +71,6 @@ impl RedSet {
     pub fn weight(&self) -> Weight {
         self.weight
     }
-
-    /// Number of members (popcount over the words).
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` when no node is a member.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Remove every member and reset the cached weight.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.weight = 0;
-    }
-
-    /// Iterate over the members in ascending node order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(NodeId((wi * 64) as u32 + tz))
-            })
-        })
-    }
-
-    /// The raw bitset words (little-endian bit order within each word).
-    ///
-    /// Exposed so state hashing and equality in search-based solvers can
-    /// work word-at-a-time.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 #[cfg(test)]
@@ -122,39 +80,29 @@ mod tests {
     #[test]
     fn insert_remove_track_weight() {
         let mut s = RedSet::new(130);
-        assert!(s.is_empty());
+        assert_eq!(s.weight(), 0);
         assert!(s.insert(NodeId(3), 16));
         assert!(s.insert(NodeId(129), 8));
         assert!(!s.insert(NodeId(3), 16), "double insert is a no-op");
         assert_eq!(s.weight(), 24);
-        assert_eq!(s.len(), 2);
         assert!(s.contains(NodeId(3)) && s.contains(NodeId(129)));
         assert!(!s.contains(NodeId(4)));
         assert!(s.remove(NodeId(3), 16));
         assert!(!s.remove(NodeId(3), 16), "double remove is a no-op");
         assert_eq!(s.weight(), 8);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![NodeId(129)]);
+        assert!(!s.contains(NodeId(3)) && s.contains(NodeId(129)));
     }
 
     #[test]
-    fn iter_ascending_across_words() {
+    fn membership_across_word_boundaries() {
         let mut s = RedSet::new(200);
-        for &i in &[0u32, 63, 64, 127, 128, 199] {
+        let members = [0u32, 63, 64, 127, 128, 199];
+        for &i in &members {
             s.insert(NodeId(i), 1);
         }
-        let got: Vec<u32> = s.iter().map(|v| v.0).collect();
-        assert_eq!(got, vec![0, 63, 64, 127, 128, 199]);
+        let got: Vec<u32> = (0..200).filter(|&i| s.contains(NodeId(i))).collect();
+        assert_eq!(got, members);
         assert_eq!(s.weight(), 6);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = RedSet::new(10);
-        s.insert(NodeId(1), 5);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.weight(), 0);
-        assert_eq!(s.words(), &[0]);
     }
 
     #[test]

@@ -7,24 +7,25 @@
 //! records the weighted red occupancy after every move;
 //! [`render_sparkline`] draws it for terminals.
 
+use crate::error::ValidityError;
 use crate::graph::{Cdag, Weight};
-use crate::label::PebbleState;
+use crate::replay::{replay, Played, Uni};
 use crate::schedule::Schedule;
 
 /// The weighted fast-memory occupancy after each move (index `i` =
 /// occupancy after move `i`; the implicit starting occupancy is 0).
 ///
-/// Does not validate the schedule; pair with
-/// [`crate::validate_schedule`] when validity matters.
-pub fn occupancy_trace(graph: &Cdag, schedule: &Schedule) -> Vec<Weight> {
-    let mut state = PebbleState::initial(graph);
-    schedule
-        .iter()
-        .map(|mv| {
-            state.apply(graph, mv);
-            state.red_weight()
-        })
-        .collect()
+/// The replay checks every rule of the game under an unbounded budget, so
+/// an invalid schedule is an error rather than a misleading curve; pair
+/// with [`crate::validate_schedule`] to check a budget too.
+pub fn occupancy_trace(graph: &Cdag, schedule: &Schedule) -> Result<Vec<Weight>, ValidityError> {
+    let mut trace = Vec::with_capacity(schedule.len());
+    let mut record = |p: Played| {
+        trace.push(p.red);
+        Some(())
+    };
+    replay(graph, &Uni(Weight::MAX), schedule.iter(), &mut record)?;
+    Ok(trace)
 }
 
 /// Summary statistics of an occupancy trace.
@@ -40,8 +41,11 @@ pub struct OccupancySummary {
 
 /// Replay a schedule and summarise its occupancy in one call — the
 /// per-point statistics hook used by the sweep engine.
-pub fn occupancy_summary(graph: &Cdag, schedule: &Schedule) -> OccupancySummary {
-    summarize(&occupancy_trace(graph, schedule))
+pub fn occupancy_summary(
+    graph: &Cdag,
+    schedule: &Schedule,
+) -> Result<OccupancySummary, ValidityError> {
+    Ok(summarize(&occupancy_trace(graph, schedule)?))
 }
 
 /// Summarise a trace (empty traces yield zeros).
@@ -114,13 +118,16 @@ mod tests {
     #[test]
     fn trace_matches_hand_computation() {
         let (g, sched) = setup();
-        assert_eq!(occupancy_trace(&g, &sched), vec![16, 32, 64, 64, 48, 32, 0]);
+        assert_eq!(
+            occupancy_trace(&g, &sched).unwrap(),
+            vec![16, 32, 64, 64, 48, 32, 0]
+        );
     }
 
     #[test]
     fn summary_stats() {
         let (g, sched) = setup();
-        let trace = occupancy_trace(&g, &sched);
+        let trace = occupancy_trace(&g, &sched).unwrap();
         let s = summarize(&trace);
         assert_eq!(s.peak, 64);
         assert!((s.mean - (16 + 32 + 64 + 64 + 48 + 32) as f64 / 7.0).abs() < 1e-9);
@@ -131,7 +138,7 @@ mod tests {
     #[test]
     fn sparkline_has_requested_width_and_peak() {
         let (g, sched) = setup();
-        let trace = occupancy_trace(&g, &sched);
+        let trace = occupancy_trace(&g, &sched).unwrap();
         let line = render_sparkline(&trace, 7);
         assert_eq!(line.chars().count(), 7);
         assert!(line.contains('█'), "{line}");

@@ -1,18 +1,18 @@
-//! Independent schedule replayer: enforces every game rule and the weighted
-//! red-pebble constraint at each step.
+//! Schedule validation: the replay kernel with a cost/peak observer.
 //!
-//! Every scheduler in the workspace is checked against this replayer — the
-//! cost the scheduler claims must equal the cost measured here, and every
+//! Every scheduler in the workspace is checked by this replay — the cost
+//! the scheduler claims must equal the cost measured here, and every
 //! intermediate snapshot must respect Definition 2.1.
 
 use crate::error::ValidityError;
 use crate::graph::{Cdag, Weight};
 use crate::moves::Move;
-use crate::redset::RedSet;
+use crate::multi::MultiMove;
+use crate::replay::{replay, Observer, Played, Uni};
 use crate::schedule::Schedule;
 
 /// Statistics reported by a successful validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Weighted schedule cost (Definition 2.2) as replayed.
     pub cost: Weight,
@@ -29,17 +29,33 @@ pub struct ScheduleStats {
     pub moves: usize,
 }
 
-/// Replay `schedule` on `graph` under budget `budget`, checking:
-///
-/// 1. **M1** targets a node with a blue pebble,
-/// 2. **M2** targets a node with a red pebble,
-/// 3. **M3** targets a non-source node whose predecessors are all red,
-/// 4. **M4** targets a node with a red pebble,
-/// 5. after every move, `Σ_{v red} w_v ≤ budget` (Definition 2.1),
-/// 6. at the end, every sink carries a blue pebble (stopping condition).
-///
-/// The starting condition (sources blue, all else unpebbled) is implicit.
-/// On success, returns exact [`ScheduleStats`].
+/// The statistics accumulate as an observer of the replay kernel; the
+/// cost sum is checked, and each of its two parts is at most the cost.
+impl Observer for ScheduleStats {
+    #[inline]
+    fn observe(&mut self, p: Played) -> Option<()> {
+        self.moves += 1;
+        self.peak_red_weight = self.peak_red_weight.max(p.red);
+        match p.mv {
+            MultiMove::Load { .. } => {
+                self.cost = self.cost.checked_add(p.weight)?;
+                self.input_cost += p.weight;
+            }
+            MultiMove::Store { .. } => {
+                self.cost = self.cost.checked_add(p.weight)?;
+                self.output_cost += p.weight;
+            }
+            MultiMove::Compute { .. } => self.computes += 1,
+            MultiMove::Delete { .. } | MultiMove::Comm { .. } => {}
+        }
+        Some(())
+    }
+}
+
+/// Replay `schedule` on `graph` under budget `budget`, checking every rule
+/// of the game (see [`crate::replay::replay`]): M1–M4 preconditions, the
+/// weighted budget after every move (Definition 2.1), and every sink
+/// blue at the end.  On success, returns exact [`ScheduleStats`].
 pub fn validate_schedule(
     graph: &Cdag,
     budget: Weight,
@@ -59,71 +75,8 @@ pub fn validate_moves(
     budget: Weight,
     moves: impl IntoIterator<Item = Move>,
 ) -> Result<ScheduleStats, ValidityError> {
-    let mut red = RedSet::new(graph.len());
-    let mut blue = RedSet::new(graph.len());
-    for &v in graph.sources() {
-        blue.insert(v, graph.weight(v));
-    }
-    let mut stats = ScheduleStats {
-        cost: 0,
-        input_cost: 0,
-        output_cost: 0,
-        peak_red_weight: 0,
-        computes: 0,
-        moves: 0,
-    };
-
-    for (step, mv) in moves.into_iter().enumerate() {
-        let v = mv.node();
-        let w = graph.weight(v);
-        stats.moves += 1;
-        match mv {
-            Move::Load(_) => {
-                if !blue.contains(v) {
-                    return Err(ValidityError::LoadWithoutBlue { step, mv });
-                }
-                stats.input_cost += w;
-                red.insert(v, w);
-            }
-            Move::Store(_) => {
-                if !red.contains(v) {
-                    return Err(ValidityError::StoreWithoutRed { step, mv });
-                }
-                stats.output_cost += w;
-                blue.insert(v, w);
-            }
-            Move::Compute(_) => {
-                if graph.is_source(v) {
-                    return Err(ValidityError::ComputeSource { step, mv });
-                }
-                if let Some(&missing) = graph.preds(v).iter().find(|&&p| !red.contains(p)) {
-                    return Err(ValidityError::ComputeWithoutOperands { step, mv, missing });
-                }
-                stats.computes += 1;
-                red.insert(v, w);
-            }
-            Move::Delete(_) => {
-                if !red.remove(v, w) {
-                    return Err(ValidityError::DeleteWithoutRed { step, mv });
-                }
-            }
-        }
-        if red.weight() > budget {
-            return Err(ValidityError::BudgetExceeded {
-                step,
-                mv,
-                used: red.weight(),
-                budget,
-            });
-        }
-        stats.peak_red_weight = stats.peak_red_weight.max(red.weight());
-    }
-
-    if let Some(&sink) = graph.sinks().iter().find(|&&v| !blue.contains(v)) {
-        return Err(ValidityError::StoppingConditionUnmet { sink });
-    }
-
-    stats.cost = stats.input_cost + stats.output_cost;
+    let mut stats = ScheduleStats::default();
+    replay(graph, &Uni(budget), moves, &mut stats)?;
     Ok(stats)
 }
 
@@ -269,5 +222,27 @@ mod tests {
         ]);
         let stats = validate_schedule(&g, 64, &s).unwrap();
         assert_eq!(stats.computes, 2);
+    }
+
+    #[test]
+    fn cost_overflow_is_an_error_not_a_wrap() {
+        // A 2^62-bit source loaded five times costs 5 * 2^62 > u64::MAX:
+        // the fourth load already reaches 2^64.
+        let mut b = CdagBuilder::new();
+        let x = b.node(1 << 62, "x");
+        let s = b.node(1, "s");
+        b.edge(x, s);
+        let g = b.build().unwrap();
+        let moves = vec![Move::Load(NodeId(0)); 5];
+        assert_eq!(
+            validate_moves(&g, Weight::MAX, moves).unwrap_err(),
+            ValidityError::WeightOverflow {
+                step: 3,
+                mv: MultiMove::Load {
+                    proc: 0,
+                    node: NodeId(0)
+                }
+            }
+        );
     }
 }

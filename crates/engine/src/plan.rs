@@ -194,10 +194,12 @@ impl<'a> Series<'a> {
 
     fn schedule_peak(&self, g: &AnyGraph, budget: Weight) -> Option<Weight> {
         match &self.kind {
-            Kind::Scheduler(s) => s
-                .schedule(g, budget)
-                .ok()
-                .map(|sch| occupancy_summary(g.cdag(), &sch).peak),
+            Kind::Scheduler(s) => {
+                let sch = s.schedule(g, budget).ok()?;
+                let summary = occupancy_summary(g.cdag(), &sch)
+                    .unwrap_or_else(|e| panic!("{} on {} at {budget}: {e}", s.name(), g.name()));
+                Some(summary.peak)
+            }
             Kind::Model(_) => None,
         }
     }

@@ -7,6 +7,7 @@
 //! [`SweepResult::to_csv_timed`] when you want them.
 
 use pebblyn_core::Weight;
+use pebblyn_telemetry::schema::json_str;
 
 /// One evaluated sweep point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,21 +39,6 @@ impl SweepRow {
 
 fn cell(v: Option<Weight>) -> String {
     v.map_or_else(|| "inf".into(), |w| w.to_string())
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_opt(v: Option<Weight>) -> String {

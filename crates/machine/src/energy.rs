@@ -32,15 +32,6 @@ impl Default for EnergyModel {
     }
 }
 
-impl EnergyModel {
-    /// Total energy in picojoules for the given transfer/compute profile.
-    pub fn total_pj(&self, loaded_bits: Weight, stored_bits: Weight, computes: usize) -> f64 {
-        self.load_pj_per_bit * loaded_bits as f64
-            + self.store_pj_per_bit * stored_bits as f64
-            + self.compute_pj_per_op * computes as f64
-    }
-}
-
 /// Energy breakdown of an executed schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyReport {
@@ -100,7 +91,8 @@ mod tests {
     fn defaults_price_stores_higher() {
         let m = EnergyModel::default();
         assert!(m.store_pj_per_bit > m.load_pj_per_bit);
-        assert_eq!(m.total_pj(100, 10, 4), 100.0 + 100.0 + 2.0);
+        let r = EnergyReport::from_profile(&m, 100, 10, 4);
+        assert_eq!(r.total_pj(), 100.0 + 100.0 + 2.0);
     }
 
     #[test]

@@ -8,23 +8,24 @@
 //!
 //! Running a schedule on the machine proves three things at once:
 //!
-//! 1. the schedule respects the game rules and the weighted budget
-//!    (the machine enforces both, independently of
-//!    [`pebblyn_core::validate_schedule`]),
+//! 1. the schedule respects the game rules and the weighted budget — the
+//!    machine replays it through the same rule kernel as
+//!    [`pebblyn_core::validate_schedule`] and reports the same
+//!    [`pebblyn_core::ValidityError`],
 //! 2. the schedule really computes the workload — output values must match a
-//!    direct reference evaluation,
+//!    direct reference evaluation, a check independent of the kernel,
 //! 3. the exact data-movement energy of the schedule under a per-bit
 //!    transfer-energy model ([`EnergyModel`]).
+//!
+//! [`MultiMachine`] does the same for the multiprocessor game.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod energy;
 pub mod exec;
-pub mod multi_exec;
 pub mod ops;
 
 pub use energy::{EnergyModel, EnergyReport};
-pub use exec::{ExecError, ExecReport, Machine};
-pub use multi_exec::{MultiExecError, MultiExecReport, MultiMachine};
+pub use exec::{ExecError, ExecReport, Machine, MultiExecReport, MultiMachine};
 pub use ops::{eval_reference, Op, OpTable};

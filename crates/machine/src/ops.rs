@@ -67,12 +67,6 @@ impl OpTable {
         Ok(OpTable { ops })
     }
 
-    /// The op bound to node `v`.
-    #[inline]
-    pub fn op(&self, v: NodeId) -> &Op {
-        &self.ops[v.index()]
-    }
-
     /// Evaluate node `v` given its operand values (in predecessor order).
     ///
     /// Panics if called on an `Input` node — inputs have no operands.

@@ -76,13 +76,13 @@ pub mod prelude {
     pub use pebblyn_baselines::IoOptMvmModel;
     pub use pebblyn_core::{
         algorithmic_lower_bound, min_feasible_budget, peephole, schedule_exists, validate_moves,
-        validate_schedule, Cdag, CdagBuilder, Label, Move, MoveStream, NodeId, PebbleState,
-        PeepholeStats, RedSet, Schedule, ScheduleRequest, ScheduleResponse, ScheduleStats, Weight,
+        validate_schedule, Cdag, CdagBuilder, Move, MoveStream, NodeId, PeepholeStats, RedSet,
+        Schedule, ScheduleRequest, ScheduleResponse, ScheduleStats, ValidityError, Weight,
     };
     pub use pebblyn_core::{occupancy_summary, occupancy_trace, summarize, OccupancySummary};
     pub use pebblyn_core::{
-        validate_multi_schedule, MachineSpec, MultiMove, MultiSchedule, MultiStats,
-        MultiValidityError, ProcBudget, DEFAULT_COMM_PRICE,
+        validate_multi_schedule, MachineSpec, MultiMove, MultiSchedule, MultiStats, ProcBudget,
+        DEFAULT_COMM_PRICE,
     };
     pub use pebblyn_engine::{
         BudgetSpec, Memo, MinMemoryPlan, MinMemoryResult, Series, SweepPlan, SweepResult,

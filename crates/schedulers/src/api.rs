@@ -58,7 +58,7 @@ use crate::{
 };
 use pebblyn_core::{
     min_feasible_budget, validate_multi_schedule, validate_schedule, MachineSpec, MultiSchedule,
-    MultiValidityError, Schedule, ScheduleRequest, ScheduleResponse, ValidityError, Weight,
+    Schedule, ScheduleRequest, ScheduleResponse, ValidityError, Weight,
 };
 use pebblyn_graphs::AnyGraph;
 use pebblyn_telemetry as telemetry;
@@ -97,7 +97,7 @@ pub enum ScheduleError {
     /// A multiprocessor schedule failed replay under
     /// [`validate_multi_schedule`].  Like [`ScheduleError::ValidationFailed`],
     /// always a scheduler bug.
-    MultiValidationFailed(MultiValidityError),
+    MultiValidationFailed(ValidityError),
 }
 
 impl std::fmt::Display for ScheduleError {

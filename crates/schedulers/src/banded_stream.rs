@@ -13,7 +13,7 @@
 //! strategies meet the algorithmic lower bound; [`schedule`] picks the one
 //! that fits the budget.
 
-use pebblyn_core::{Move, PebbleState, Schedule, Weight};
+use pebblyn_core::{validate_schedule, Move, Schedule, Weight};
 use pebblyn_graphs::banded::BandedMvmGraph;
 
 pub use crate::conv_stream::Strategy;
@@ -36,17 +36,13 @@ pub fn schedule_with_strategy(g: &BandedMvmGraph, strategy: Strategy) -> Schedul
     }
 }
 
-/// Exact peak occupancy of a strategy, measured by replay.
+/// Exact peak occupancy of a strategy, measured by replay under an
+/// unbounded budget.
 pub fn strategy_peak(g: &BandedMvmGraph, strategy: Strategy) -> Weight {
     let sched = schedule_with_strategy(g, strategy);
-    let cdag = g.cdag();
-    let mut state = PebbleState::initial(cdag);
-    let mut peak = 0;
-    for mv in sched.iter() {
-        state.apply(cdag, mv);
-        peak = peak.max(state.red_weight());
-    }
-    peak
+    validate_schedule(g.cdag(), Weight::MAX, &sched)
+        .expect("streaming strategies emit valid schedules")
+        .peak_red_weight
 }
 
 /// The streaming family's minimum fast memory size (Definition 2.6).

@@ -18,7 +18,7 @@
 //! Accumulator), interleaving wins when everything is one word (Equal).
 //! [`schedule`] picks the cheaper strategy that fits.
 
-use pebblyn_core::{Move, PebbleState, Schedule, Weight};
+use pebblyn_core::{validate_schedule, Move, Schedule, Weight};
 use pebblyn_graphs::conv::ConvGraph;
 
 /// Which residency strategy a schedule uses.
@@ -47,17 +47,12 @@ pub fn schedule_with_strategy(conv: &ConvGraph, strategy: Strategy) -> Schedule 
 }
 
 /// Exact peak fast-memory occupancy of a strategy on this graph,
-/// measured by replaying the emitted moves.
+/// measured by replaying the emitted moves under an unbounded budget.
 pub fn strategy_peak(conv: &ConvGraph, strategy: Strategy) -> Weight {
     let sched = schedule_with_strategy(conv, strategy);
-    let g = conv.cdag();
-    let mut state = PebbleState::initial(g);
-    let mut peak = 0;
-    for mv in sched.iter() {
-        state.apply(g, mv);
-        peak = peak.max(state.red_weight());
-    }
-    peak
+    validate_schedule(conv.cdag(), Weight::MAX, &sched)
+        .expect("streaming strategies emit valid schedules")
+        .peak_red_weight
 }
 
 /// The smallest budget at which some streaming strategy is valid — and,

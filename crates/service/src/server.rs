@@ -334,6 +334,51 @@ mod tests {
         server.shutdown();
     }
 
+    /// A custom 2-node graph weighted 2^63 bits per node sums past
+    /// `u64::MAX`: the frame's graph build rejects it, so the daemon
+    /// answers bad-request and no scheduler ever sees wrapped weights.
+    #[test]
+    fn custom_graph_with_overflowing_weights_is_a_bad_request() {
+        let (wx, wy) = (0x1111_1111_u64, 0x2222_2222_u64);
+        let mut b = pebblyn_core::CdagBuilder::new();
+        let x = b.unnamed(wx);
+        let y = b.unnamed(wy);
+        b.edge(x, y);
+        let req = Request {
+            id: 4,
+            ask: ScheduleRequest::new(GraphSpec::Custom(b.build().unwrap()), 64, "naive"),
+            no_cache: false,
+        };
+        // Re-weight both nodes to 2^63 in the encoded frame.
+        let mut payload = wire::encode_request(&req);
+        for w in [wx, wy] {
+            let at = payload
+                .windows(8)
+                .position(|win| win == w.to_le_bytes())
+                .expect("weight is on the wire");
+            payload[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        }
+        let mut input = Vec::new();
+        wire::write_frame(&mut input, &payload).unwrap();
+
+        let server = Server::start(
+            Arc::new(Service::new(&ServiceConfig::default())),
+            &ServerConfig::default(),
+        );
+        let mut output = Vec::new();
+        serve_stream(&server, &input[..], &mut output).unwrap();
+        let payload = wire::read_frame(&mut &output[..]).unwrap().unwrap();
+        let Ok(Frame::Response(resp)) = wire::decode_payload(&payload) else {
+            panic!("expected a response frame")
+        };
+        let Outcome::Rejected { kind, message, .. } = resp.outcome else {
+            panic!("expected rejection")
+        };
+        assert_eq!(kind, RejectKind::BadRequest);
+        assert!(message.contains("2^64"), "names the overflow: {message}");
+        server.shutdown();
+    }
+
     #[test]
     fn stream_serves_frames_in_order_and_honors_shutdown() {
         let server = Server::start(

@@ -518,6 +518,25 @@ mod tests {
         };
         assert_eq!(kind, RejectKind::BadRequest);
 
+        // Weights whose sum would wrap a u64 -> BadRequest at graph build.
+        let heavy = Request {
+            id: 10,
+            ask: ScheduleRequest::new(
+                GraphSpec::Workload {
+                    workload: Workload::Dwt { n: 16, d: 2 },
+                    scheme: WeightScheme::Equal(1 << 62),
+                },
+                u64::MAX,
+                "naive",
+            ),
+            no_cache: false,
+        };
+        let Outcome::Rejected { kind, message, .. } = svc.handle(heavy).outcome else {
+            panic!("expected rejection")
+        };
+        assert_eq!(kind, RejectKind::BadRequest);
+        assert!(message.contains("2^64"), "names the overflow: {message}");
+
         // Infeasible budget carries the hint when known.
         let tight = workload_request(9, 1, "dwt-opt");
         let Outcome::Rejected { kind, .. } = svc.handle(tight).outcome else {

@@ -35,9 +35,8 @@
 //!
 //! Version history: v1 requests carried a bare `budget:u64` where v2
 //! carries `machine`, and v1 responses had no `makespan`/`comm` words.
-//! Encoders always emit v2; the decoder accepts both, mapping a v1
-//! budget to [`MachineSpec::uniprocessor`] so old clients keep working
-//! against new servers unchanged.
+//! Encoders emit v2 and the decoder accepts only v2; a v1 frame is
+//! rejected as an unsupported version.
 //!
 //! Decoders never trust lengths: every read is bounds-checked, frame and
 //! collection sizes are capped, and any violation surfaces as a
@@ -46,19 +45,15 @@
 
 use crate::service::{GraphSpec, Outcome, RejectKind, Request, Response};
 use pebblyn_core::stream::MoveTag;
-use pebblyn_core::{
-    CdagBuilder, MachineSpec, Move, NodeId, ProcBudget, Schedule, ScheduleRequest, Weight,
-};
+use pebblyn_core::{CdagBuilder, MachineSpec, Move, NodeId, ProcBudget, Schedule, ScheduleRequest};
 use pebblyn_graphs::{WeightScheme, Workload};
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// `"pw"` — pebblyn wire.
 pub const MAGIC: u16 = 0x7077;
-/// Wire format version emitted by encoders (decoders also accept v1).
+/// Wire format version emitted and accepted.
 pub const VERSION: u8 = 2;
-/// The pre-multiprocessor format still accepted on decode.
-pub const VERSION_V1: u8 = 1;
 /// Upper bound on a frame payload (guards allocations on hostile input).
 pub const MAX_FRAME: u32 = 64 << 20;
 /// Upper bound on nodes/edges/moves in one frame.
@@ -433,7 +428,7 @@ pub fn decode_payload(buf: &[u8]) -> Result<Frame, WireError> {
         return err(format!("bad magic {magic:#06x}"));
     }
     let version = d.u8()?;
-    if version != VERSION && version != VERSION_V1 {
+    if version != VERSION {
         return err(format!("unsupported version {version}"));
     }
     match d.u8()? {
@@ -443,13 +438,7 @@ pub fn decode_payload(buf: &[u8]) -> Result<Frame, WireError> {
             if flags & !3 != 0 {
                 return err(format!("unknown request flags {flags:#04x}"));
             }
-            // v1 carried a bare uniprocessor budget; v2 a full machine.
-            let machine = if version == VERSION_V1 {
-                let budget: Weight = d.u64()?;
-                MachineSpec::uniprocessor(budget)
-            } else {
-                decode_machine(&mut d)?
-            };
+            let machine = decode_machine(&mut d)?;
             let scheduler = d.str()?;
             let graph = decode_graph(&mut d)?;
             d.done()?;
@@ -464,12 +453,7 @@ pub fn decode_payload(buf: &[u8]) -> Result<Frame, WireError> {
             let status = d.u8()?;
             let cache = d.u8()?;
             let cost = d.u64()?;
-            // v1 responses had no makespan/comm words.
-            let (makespan, comm) = if version == VERSION_V1 {
-                (u64::MAX, u64::MAX)
-            } else {
-                (d.u64()?, d.u64()?)
-            };
+            let (makespan, comm) = (d.u64()?, d.u64()?);
             let message = d.str()?;
             let schedule = decode_moves(&mut d)?;
             d.done()?;
@@ -717,57 +701,20 @@ mod tests {
         assert!(!m.is_uniprocessor());
     }
 
-    /// Hand-encode v1 payloads (bare budget, no makespan/comm words) and
-    /// check the decoder still accepts them: an old client's request maps
-    /// to a uniprocessor machine, an old server's response decodes with
-    /// the multi fields absent.
+    /// A v1 payload (bare budget, no makespan/comm words) is rejected as
+    /// an unsupported version, not misread as v2.
     #[test]
-    fn v1_payloads_still_decode() {
-        // v1 request: id flags budget scheduler graph.
+    fn v1_frames_are_an_unsupported_version() {
         let mut e = Enc::new(0);
-        e.0[2] = VERSION_V1;
+        e.0[2] = 1;
         e.u64(77);
         e.u8(1); // cost_only
-        e.u64(160);
+        e.u64(160); // v1's bare budget
         e.str("naive");
-        e.u8(1); // dwt workload
-        e.u64(16);
-        e.u64(2);
-        e.u8(0); // equal scheme
-        e.u64(16);
-        let Frame::Request(back) = decode_payload(&e.0).unwrap() else {
-            panic!("expected request frame")
-        };
-        assert_eq!(back.id, 77);
-        assert!(back.ask.is_cost_only());
-        assert_eq!(back.ask.machine(), &MachineSpec::uniprocessor(160));
-        assert_eq!(back.ask.scheduler(), "naive");
-
-        // v1 ok response: id status cache cost message moves.
-        let mut e = Enc::new(1);
-        e.0[2] = VERSION_V1;
-        e.u64(77);
-        e.u8(0); // ok
-        e.u8(1); // cache hit
-        e.u64(512);
-        e.str("");
-        e.u8(0); // no moves
-        let Frame::Response(back) = decode_payload(&e.0).unwrap() else {
-            panic!("expected response frame")
-        };
-        let Outcome::Ok {
-            cost,
-            cache_hit,
-            makespan,
-            comm_cost,
-            schedule,
-        } = back.outcome
-        else {
-            panic!("expected ok")
-        };
-        assert_eq!((cost, cache_hit), (512, true));
-        assert_eq!((makespan, comm_cost), (None, None));
-        assert!(schedule.is_none());
+        assert_eq!(
+            decode_payload(&e.0).unwrap_err(),
+            WireError("unsupported version 1".into())
+        );
     }
 
     #[test]

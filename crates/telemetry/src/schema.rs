@@ -25,7 +25,9 @@ use crate::Snapshot;
 /// Schema identifier stamped on every JSONL line.
 pub const SCHEMA: &str = "pebblyn-telemetry/v1";
 
-fn json_str(s: &str) -> String {
+/// `s` as a quoted JSON string literal: quotes and backslashes escaped,
+/// control characters as `\uXXXX`.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
