@@ -148,18 +148,6 @@ fn bench_extensions(c: &mut Criterion) {
         b.iter(|| black_box(greedy_belady::schedule(&fft, black_box(budget))));
     });
 
-    // Parallel component packing over 96 channels.
-    let tree = pebblyn::graphs::tree::full_kary(2, 4, WeightScheme::Equal(16)).unwrap();
-    let parts: Vec<&pebblyn::core::Cdag> = std::iter::repeat_n(&tree, 96).collect();
-    let (array, _) = pebblyn::core::Cdag::disjoint_union(&parts);
-    group.bench_function("parallel_96_channels", |b| {
-        b.iter(|| {
-            black_box(parallel::schedule_components(&array, 8, |sub| {
-                kary::schedule(sub, 8 * 16)
-            }))
-        });
-    });
-
     // Peephole over a large salted schedule.
     let dwt = DwtGraph::new(256, 8, WeightScheme::Equal(16)).unwrap();
     let sched = dwt_opt::schedule(&dwt, 160).unwrap();

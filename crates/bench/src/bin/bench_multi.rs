@@ -68,7 +68,7 @@ struct Point {
 }
 
 fn main() {
-    type MultiFn = fn(&Cdag, &MachineSpec) -> Option<(MultiSchedule, MultiStats)>;
+    type MultiFn = fn(&Cdag, &MachineSpec) -> Result<(MultiSchedule, MultiStats), ScheduleError>;
     let schedulers: [(&str, MultiFn); 2] = [
         ("partition-belady", multi::partition_schedule_with_stats),
         ("comm-list", multi::comm_list_schedule_with_stats),

@@ -101,11 +101,9 @@ pub mod prelude {
     pub use pebblyn_schedulers::layer_by_layer::LayerByLayerOptions;
     pub use pebblyn_schedulers::memstate::MemoryStates;
     pub use pebblyn_schedulers::mvm_tiling::TilingConfig;
-    pub use pebblyn_schedulers::parallel::ParallelPlan;
     pub use pebblyn_schedulers::{
         api, banded_stream, conv_stream, dwt_opt, greedy_belady, kary, layer_by_layer, memstate,
-        min_memory, multi, mvm_tiling, naive, parallel, registry, MinMemoryOptions, ScheduleError,
-        Scheduler,
+        min_memory, multi, mvm_tiling, naive, registry, MinMemoryOptions, ScheduleError, Scheduler,
     };
     pub use pebblyn_service::{
         GraphSpec, Outcome, RejectKind, Request, Response, Server, ServerConfig, Service,

@@ -57,8 +57,8 @@ use crate::{
     naive,
 };
 use pebblyn_core::{
-    min_feasible_budget, validate_multi_schedule, validate_schedule, MachineSpec, MultiSchedule,
-    Schedule, ScheduleRequest, ScheduleResponse, ValidityError, Weight,
+    min_feasible_budget, validate_multi_schedule, validate_schedule, Cdag, MachineSpec,
+    MultiSchedule, Schedule, ScheduleRequest, ScheduleResponse, ValidityError, Weight,
 };
 use pebblyn_graphs::AnyGraph;
 use pebblyn_telemetry as telemetry;
@@ -123,8 +123,8 @@ impl std::error::Error for ScheduleError {}
 /// The [`ScheduleError::InfeasibleBudget`] for `g` at `budget`, with the
 /// Proposition 2.3 hint filled in when the budget is below the game-level
 /// minimum.
-fn infeasible(g: &AnyGraph, budget: Weight) -> ScheduleError {
-    let game_min = min_feasible_budget(g.cdag());
+pub(crate) fn infeasible(g: &Cdag, budget: Weight) -> ScheduleError {
+    let game_min = min_feasible_budget(g);
     ScheduleError::InfeasibleBudget {
         min_feasible: (budget < game_min).then_some(game_min),
     }
@@ -330,14 +330,14 @@ impl Scheduler for DwtOpt {
         match g {
             AnyGraph::Dwt(d) if d.satisfies_pruning_condition() => dwt_opt::schedule(d, budget)
                 .map(emit)
-                .ok_or_else(|| infeasible(g, budget)),
+                .ok_or_else(|| infeasible(g.cdag(), budget)),
             _ => Err(ScheduleError::Unsupported),
         }
     }
     fn min_cost(&self, g: &AnyGraph, budget: Weight) -> Result<Weight, ScheduleError> {
         match g {
             AnyGraph::Dwt(d) if d.satisfies_pruning_condition() => {
-                dwt_opt::min_cost(d, budget).ok_or_else(|| infeasible(g, budget))
+                dwt_opt::min_cost(d, budget).ok_or_else(|| infeasible(g.cdag(), budget))
             }
             _ => Err(ScheduleError::Unsupported),
         }
@@ -368,14 +368,14 @@ impl Scheduler for Kary {
         }
         kary::schedule(cdag, budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(cdag, budget))
     }
     fn min_cost(&self, g: &AnyGraph, budget: Weight) -> Result<Weight, ScheduleError> {
         let cdag = g.cdag();
         if !cdag.is_in_tree() {
             return Err(ScheduleError::Unsupported);
         }
-        kary::min_cost(cdag, budget).ok_or_else(|| infeasible(g, budget))
+        kary::min_cost(cdag, budget).ok_or_else(|| infeasible(cdag, budget))
     }
     fn monotone(&self) -> bool {
         true
@@ -397,14 +397,14 @@ impl Scheduler for MvmTiling {
         match g {
             AnyGraph::Mvm(m) => mvm_tiling::schedule(m, budget)
                 .map(emit)
-                .ok_or_else(|| infeasible(g, budget)),
+                .ok_or_else(|| infeasible(g.cdag(), budget)),
             _ => Err(ScheduleError::Unsupported),
         }
     }
     fn min_cost(&self, g: &AnyGraph, budget: Weight) -> Result<Weight, ScheduleError> {
         match g {
             AnyGraph::Mvm(m) => {
-                mvm_tiling::min_cost(m, budget).ok_or_else(|| infeasible(g, budget))
+                mvm_tiling::min_cost(m, budget).ok_or_else(|| infeasible(g.cdag(), budget))
             }
             _ => Err(ScheduleError::Unsupported),
         }
@@ -429,14 +429,14 @@ impl Scheduler for ConvStream {
         match g {
             AnyGraph::Conv(c) => conv_stream::schedule(c, budget)
                 .map(emit)
-                .ok_or_else(|| infeasible(g, budget)),
+                .ok_or_else(|| infeasible(g.cdag(), budget)),
             _ => Err(ScheduleError::Unsupported),
         }
     }
     fn min_cost(&self, g: &AnyGraph, budget: Weight) -> Result<Weight, ScheduleError> {
         match g {
             AnyGraph::Conv(c) => {
-                conv_stream::min_cost(c, budget).ok_or_else(|| infeasible(g, budget))
+                conv_stream::min_cost(c, budget).ok_or_else(|| infeasible(g.cdag(), budget))
             }
             _ => Err(ScheduleError::Unsupported),
         }
@@ -461,14 +461,14 @@ impl Scheduler for BandedStream {
         match g {
             AnyGraph::Banded { graph, .. } => banded_stream::schedule(graph, budget)
                 .map(emit)
-                .ok_or_else(|| infeasible(g, budget)),
+                .ok_or_else(|| infeasible(g.cdag(), budget)),
             _ => Err(ScheduleError::Unsupported),
         }
     }
     fn min_cost(&self, g: &AnyGraph, budget: Weight) -> Result<Weight, ScheduleError> {
         match g {
             AnyGraph::Banded { graph, .. } => {
-                banded_stream::min_cost(graph, budget).ok_or_else(|| infeasible(g, budget))
+                banded_stream::min_cost(graph, budget).ok_or_else(|| infeasible(g.cdag(), budget))
             }
             _ => Err(ScheduleError::Unsupported),
         }
@@ -492,7 +492,7 @@ impl Scheduler for LayerByLayer {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         layer_by_layer::schedule(g, budget, layer_by_layer::LayerByLayerOptions::default())
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
 }
 
@@ -510,7 +510,7 @@ impl Scheduler for GreedyBelady {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         greedy_belady::schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
 }
 
@@ -531,7 +531,7 @@ impl Scheduler for TopoWindow {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         pebblyn_streaming::window_schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
 }
 
@@ -551,7 +551,7 @@ impl Scheduler for SlabPartition {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         pebblyn_streaming::slab_schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
 }
 
@@ -569,7 +569,7 @@ impl Scheduler for Naive {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         naive::schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
 }
 
@@ -589,7 +589,7 @@ impl Scheduler for PartitionBelady {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         greedy_belady::schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
     fn supports_machine(&self, _g: &AnyGraph, _spec: &MachineSpec) -> bool {
         true
@@ -600,7 +600,6 @@ impl Scheduler for PartitionBelady {
         spec: &MachineSpec,
     ) -> Result<MultiSchedule, ScheduleError> {
         multi::partition_schedule(g.cdag(), spec)
-            .ok_or_else(|| infeasible(g, spec.max_proc_budget()))
     }
 }
 
@@ -620,7 +619,7 @@ impl Scheduler for CommList {
     fn schedule(&self, g: &AnyGraph, budget: Weight) -> Result<Schedule, ScheduleError> {
         greedy_belady::schedule(g.cdag(), budget)
             .map(emit)
-            .ok_or_else(|| infeasible(g, budget))
+            .ok_or_else(|| infeasible(g.cdag(), budget))
     }
     fn supports_machine(&self, _g: &AnyGraph, _spec: &MachineSpec) -> bool {
         true
@@ -631,7 +630,6 @@ impl Scheduler for CommList {
         spec: &MachineSpec,
     ) -> Result<MultiSchedule, ScheduleError> {
         multi::comm_list_schedule(g.cdag(), spec)
-            .ok_or_else(|| infeasible(g, spec.max_proc_budget()))
     }
 }
 

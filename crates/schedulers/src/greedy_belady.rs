@@ -5,60 +5,34 @@
 //! scheduler: nodes are computed in a topological order, and when fast
 //! memory fills up the victim is chosen by **Belady's rule** — evict the
 //! resident value whose *next use* (in the planned compute order) lies
-//! furthest in the future, breaking ties toward values that are already
-//! clean (have a blue copy) and therefore evict for free.
+//! furthest in the future, ties going to the larger node id.  A value
+//! with no use left has the furthest key of all, so dead values leave
+//! first; a dirty victim is stored on the way out only when it is used
+//! again or is a sink.
 //!
 //! Unlike the FIFO layer-by-layer baseline this is reuse-aware, and unlike
 //! the tree DPs it handles any DAG (FFT butterflies, random DAGs, diamond
 //! reuse patterns).  It is a heuristic: for a *fixed* compute order,
 //! furthest-next-use is the classic offline caching policy; the compute
 //! order itself is not optimized.
+//!
+//! The one-processor game is the `p = 1` case of the multiprocessor one,
+//! and this scheduler is the shared simulator ([`crate::multi_sim`]) run on
+//! one processor, projected back onto the single-processor game.
 
-use pebblyn_core::{Cdag, Move, MoveStream, NodeId, RedSet, Schedule, Weight};
-use std::collections::BinaryHeap;
+use crate::multi_sim;
+use pebblyn_core::{Cdag, MachineSpec, NodeId, Schedule, Weight};
 
 /// Schedule the whole graph under `budget` computing nodes in `order`
 /// (which must be a topological order of the non-source nodes), or `None`
 /// when the budget cannot hold some node's operand set.
 pub fn schedule_with_order(graph: &Cdag, budget: Weight, order: &[NodeId]) -> Option<Schedule> {
-    // use_positions[v] = positions in `order` where v is consumed, ascending.
-    let mut use_positions: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-    for (pos, &v) in order.iter().enumerate() {
-        for &p in graph.preds(v) {
-            use_positions[p.index()].push(pos);
-        }
-    }
-
-    let mut blue = RedSet::new(graph.len());
-    for &v in graph.sources() {
-        blue.insert(v, graph.weight(v));
-    }
-    let mut st = State {
-        graph,
-        budget,
-        moves: MoveStream::new(),
-        red: RedSet::new(graph.len()),
-        blue,
-        pinned: vec![false; graph.len()],
-        next_use_cursor: vec![0; graph.len()],
-        use_positions,
-        victims: BinaryHeap::new(),
-    };
-
-    for (pos, &v) in order.iter().enumerate() {
-        debug_assert!(!graph.is_source(v), "order lists computed nodes only");
-        if !st.compute(pos, v) {
-            return None;
-        }
-    }
-    // Stopping condition: every sink needs a blue copy.
-    for &v in graph.sinks() {
-        if !st.blue.contains(v) {
-            st.moves.push(Move::Store(v));
-            st.blue.insert(v, graph.weight(v));
-        }
-    }
-    Some(Schedule::from_stream(st.moves))
+    let on_one = vec![0; graph.len()];
+    let s = multi_sim::simulate(graph, &MachineSpec::uniprocessor(budget), 1, &on_one, order)?;
+    Some(
+        s.project_single()
+            .expect("a one-processor simulation projects"),
+    )
 }
 
 /// Schedule with the graph's default topological order.
@@ -75,125 +49,6 @@ pub fn schedule(graph: &Cdag, budget: Weight) -> Option<Schedule> {
 /// The schedule's cost, or `None` when infeasible.
 pub fn cost(graph: &Cdag, budget: Weight) -> Option<Weight> {
     schedule(graph, budget).map(|s| s.cost(graph))
-}
-
-struct State<'a> {
-    graph: &'a Cdag,
-    budget: Weight,
-    moves: MoveStream,
-    /// Residency bitset; its cached weight is the fast-memory occupancy.
-    red: RedSet,
-    blue: RedSet,
-    pinned: Vec<bool>,
-    /// Index into `use_positions[v]` of the first use not yet executed.
-    next_use_cursor: Vec<usize>,
-    use_positions: Vec<Vec<usize>>,
-    /// Max-heap of (next_use, node) candidates; entries may be stale and
-    /// are re-validated on pop (lazy deletion).
-    victims: BinaryHeap<(usize, NodeId)>,
-}
-
-impl<'a> State<'a> {
-    /// The next position at which `v` is consumed, from `now` onward;
-    /// `usize::MAX` when it is never used again.
-    fn next_use(&mut self, v: NodeId, now: usize) -> usize {
-        let uses = &self.use_positions[v.index()];
-        let cur = &mut self.next_use_cursor[v.index()];
-        while *cur < uses.len() && uses[*cur] < now {
-            *cur += 1;
-        }
-        uses.get(*cur).copied().unwrap_or(usize::MAX)
-    }
-
-    fn insert_resident(&mut self, v: NodeId, now: usize) {
-        self.red.insert(v, self.graph.weight(v));
-        let nu = self.next_use(v, now);
-        self.victims.push((nu, v));
-    }
-
-    fn make_room(&mut self, extra: Weight, now: usize) -> bool {
-        while self.red.weight() + extra > self.budget {
-            // Pop until we find a live, unpinned resident entry whose key
-            // is current (lazy revalidation).  Pinned entries are parked
-            // and re-inserted so they stay evictable later.
-            let mut parked: Vec<(usize, NodeId)> = Vec::new();
-            let victim = loop {
-                let Some((key, v)) = self.victims.pop() else {
-                    self.victims.extend(parked);
-                    return false;
-                };
-                if !self.red.contains(v) {
-                    continue; // stale entry for an already-evicted node
-                }
-                if self.pinned[v.index()] {
-                    parked.push((key, v));
-                    continue;
-                }
-                let fresh = self.next_use(v, now);
-                if fresh != key {
-                    self.victims.push((fresh, v));
-                    continue;
-                }
-                break v;
-            };
-            self.victims.extend(parked);
-            let dirty = !self.blue.contains(victim);
-            let needed_again =
-                self.next_use(victim, now) != usize::MAX || (self.graph.is_sink(victim) && dirty);
-            if dirty && needed_again {
-                self.moves.push(Move::Store(victim));
-                self.blue.insert(victim, self.graph.weight(victim));
-            }
-            self.moves.push(Move::Delete(victim));
-            self.red.remove(victim, self.graph.weight(victim));
-        }
-        true
-    }
-
-    fn make_red(&mut self, v: NodeId, now: usize) -> bool {
-        if self.red.contains(v) {
-            return true;
-        }
-        debug_assert!(self.blue.contains(v), "{v} must have been stored");
-        if !self.make_room(self.graph.weight(v), now) {
-            return false;
-        }
-        self.moves.push(Move::Load(v));
-        self.insert_resident(v, now);
-        true
-    }
-
-    fn compute(&mut self, now: usize, v: NodeId) -> bool {
-        for &p in self.graph.preds(v) {
-            self.pinned[p.index()] = true;
-        }
-        let ok = self
-            .graph
-            .preds(v)
-            .to_vec()
-            .into_iter()
-            .all(|p| self.make_red(p, now))
-            && self.make_room(self.graph.weight(v), now);
-        for &p in self.graph.preds(v) {
-            self.pinned[p.index()] = false;
-        }
-        if !ok {
-            return false;
-        }
-        self.moves.push(Move::Compute(v));
-        self.insert_resident(v, now + 1);
-        // Re-key the parents: their just-consumed use is gone, so their
-        // next-use keys grew.  Keys only ever grow, and a max-heap surfaces
-        // large keys, so grown keys must be pushed eagerly (the lazy
-        // revalidation on pop can only *shrink* stale entries' priority).
-        for &p in self.graph.preds(v) {
-            if self.red.contains(p) {
-                let nu = self.next_use(p, now + 1);
-                self.victims.push((nu, p));
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -343,5 +198,38 @@ mod tests {
         let opt = crate::dwt_opt::min_cost(&dwt, b).unwrap();
         assert!(stats.cost >= opt);
         let _ = Layered::layers(&dwt);
+    }
+
+    /// Every eviction picks a furthest-next-use victim, under the
+    /// kernel's full-scan audit.
+    #[test]
+    fn evictions_are_belady() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut graphs = vec![
+            diamond(WeightScheme::Equal(4)),
+            fft_butterfly(3, WeightScheme::Equal(4)).unwrap(),
+        ];
+        for _ in 0..6 {
+            graphs.push(random_layered_dag(4, 4, 1..=6, &mut rng).unwrap());
+        }
+        let mut evictions = 0;
+        for g in graphs {
+            let order: Vec<NodeId> = g
+                .topo_order()
+                .iter()
+                .copied()
+                .filter(|&v| !g.is_source(v))
+                .collect();
+            let on_one = vec![0; g.len()];
+            let minb = min_feasible_budget(&g);
+            for b in [minb, minb + 8, minb + 16] {
+                let spec = MachineSpec::uniprocessor(b);
+                let (s, violations) =
+                    multi_sim::simulate_audited(&g, &spec, 1, &on_one, &order).expect("feasible");
+                assert_eq!(violations, 0, "budget {b}");
+                evictions += s.project_single().unwrap().move_counts().3;
+            }
+        }
+        assert!(evictions > 0, "the audit saw no eviction");
     }
 }

@@ -49,7 +49,6 @@ pub mod multi;
 mod multi_sim;
 pub mod mvm_tiling;
 pub mod naive;
-pub mod parallel;
 pub mod stack;
 
 pub use api::{by_name, execute, execute_with, registry, ExecuteError, ScheduleError, Scheduler};

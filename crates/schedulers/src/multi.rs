@@ -2,7 +2,7 @@
 //! per-processor Belady simulator ([`crate::multi_sim`]).
 //!
 //! Two policies, mirroring the federated-scheduling and critical-path
-//! idioms of DAG-task multicore simulators (ROADMAP item 3):
+//! idioms of DAG-task multicore simulators:
 //!
 //! * [`partition_schedule`] — **level partitioning**: nodes are grouped by
 //!   topological level; within a level they are distributed across
@@ -25,10 +25,17 @@
 //!   Dispatching to the least-loaded processor first makes occupancy
 //!   work-conserving by construction: with `c` computed nodes, at least
 //!   `min(p, c)` processors receive work (asserted by the MULTI regime).
+//!
+//! Every candidate is replayed ([`validate_multi_schedule`]) for its
+//! stats.  A candidate whose replay overflows a 64-bit cost or clock sum
+//! leaves the race; when none remains, the answer is that typed failure,
+//! [`ScheduleError::MultiValidationFailed`], not an infeasible budget.
 
-use crate::{greedy_belady, multi_sim};
+use crate::api::{infeasible, ScheduleError};
+use crate::multi_sim;
 use pebblyn_core::{
-    validate_multi_schedule, Cdag, MachineSpec, MultiSchedule, MultiStats, NodeId, Weight,
+    validate_multi_schedule, Cdag, MachineSpec, MultiSchedule, MultiStats, NodeId, ValidityError,
+    Weight,
 };
 
 /// Topological level of every node (sources at level 0).
@@ -77,57 +84,60 @@ fn computed_nodes(graph: &Cdag) -> Vec<NodeId> {
         .collect()
 }
 
-/// The best `(schedule, stats)` under lexicographic `(makespan,
-/// total_cost)` between `best` and a `candidate`.
-fn better(
-    best: Option<(MultiSchedule, MultiStats)>,
-    candidate: Option<(MultiSchedule, MultiStats)>,
-) -> Option<(MultiSchedule, MultiStats)> {
-    match (best, candidate) {
-        (None, c) => c,
-        (b, None) => b,
-        (Some(b), Some(c)) => {
-            let key = |s: &MultiStats| (s.makespan, s.total_cost());
-            if key(&c.1) < key(&b.1) {
-                Some(c)
-            } else {
-                Some(b)
+/// Replay every candidate (`None` = infeasible on its processors) and
+/// keep the best under lexicographic `(makespan, total_cost)`, earlier
+/// candidates winning ties.  A failed replay drops its candidate: a
+/// 64-bit sum overflowing is the weights' doing, any other failure a
+/// policy bug (debug builds assert).  The first failure is the answer
+/// when no candidate finishes.
+fn best_of(
+    graph: &Cdag,
+    spec: &MachineSpec,
+    candidates: impl Iterator<Item = Option<MultiSchedule>>,
+) -> Result<(MultiSchedule, MultiStats), ScheduleError> {
+    let key = |st: &MultiStats| (st.makespan, st.total_cost());
+    let mut best: Option<(MultiSchedule, MultiStats)> = None;
+    let mut failure = None;
+    for s in candidates.flatten() {
+        match validate_multi_schedule(graph, spec, &s) {
+            Ok(stats) if best.as_ref().is_none_or(|(_, b)| key(&stats) < key(b)) => {
+                best = Some((s, stats));
+            }
+            Ok(_) => {}
+            Err(e) => {
+                debug_assert!(
+                    matches!(e, ValidityError::WeightOverflow { .. }),
+                    "multiprocessor candidate failed replay: {e}"
+                );
+                failure.get_or_insert(e);
             }
         }
     }
-}
-
-/// Validate a candidate and pair it with its replayed stats; a candidate
-/// that fails replay is a policy bug and is dropped (debug builds assert).
-fn replayed(
-    graph: &Cdag,
-    spec: &MachineSpec,
-    candidate: Option<MultiSchedule>,
-) -> Option<(MultiSchedule, MultiStats)> {
-    let s = candidate?;
-    match validate_multi_schedule(graph, spec, &s) {
-        Ok(stats) => Some((s, stats)),
-        Err(e) => {
-            debug_assert!(false, "multiprocessor candidate failed replay: {e}");
-            None
-        }
+    match (best, failure) {
+        (Some(best), _) => Ok(best),
+        (None, Some(e)) => Err(ScheduleError::MultiValidationFailed(e)),
+        (None, None) => Err(infeasible(graph, spec.max_proc_budget())),
     }
 }
 
-/// The greedy-Belady schedule lifted onto processor 0 — the `q = 1`
-/// candidate of both policies, and the whole answer for uniprocessor
-/// machines (keeping p=1 byte-identical to [`crate::greedy_belady`]).
+/// Every node on processor 0 in topological order: greedy-belady lifted
+/// onto processor 0 — the `q = 1` candidate of both policies, and the
+/// whole answer for uniprocessor machines.
 fn single_proc_candidate(graph: &Cdag, spec: &MachineSpec) -> Option<MultiSchedule> {
-    greedy_belady::schedule(graph, spec.proc_budget(0)).map(|s| MultiSchedule::from_single(&s))
+    let on_one = vec![0; graph.len()];
+    multi_sim::simulate(graph, spec, 1, &on_one, &computed_nodes(graph))
 }
 
 /// Level-partitioned multiprocessor scheduling (see the module docs).
 ///
-/// Returns `None` when no machine prefix admits a feasible schedule —
-/// in particular `None` whenever processor 0's budget cannot hold the
-/// largest operand set.
-pub fn partition_schedule(graph: &Cdag, spec: &MachineSpec) -> Option<MultiSchedule> {
-    Some(partition_schedule_with_stats(graph, spec)?.0)
+/// Fails with [`ScheduleError::InfeasibleBudget`] when no machine prefix
+/// admits a feasible schedule — in particular whenever processor 0's
+/// budget cannot hold the largest operand set.
+pub fn partition_schedule(
+    graph: &Cdag,
+    spec: &MachineSpec,
+) -> Result<MultiSchedule, ScheduleError> {
+    Ok(partition_schedule_with_stats(graph, spec)?.0)
 }
 
 /// As [`partition_schedule`], also returning the replayed [`MultiStats`]
@@ -135,14 +145,26 @@ pub fn partition_schedule(graph: &Cdag, spec: &MachineSpec) -> Option<MultiSched
 pub fn partition_schedule_with_stats(
     graph: &Cdag,
     spec: &MachineSpec,
-) -> Option<(MultiSchedule, MultiStats)> {
-    let p = spec.num_procs();
+) -> Result<(MultiSchedule, MultiStats), ScheduleError> {
+    let multi = partition_plans(graph, spec.num_procs())
+        .map(|(q, assignment, order)| multi_sim::simulate(graph, spec, q, &assignment, &order));
+    best_of(
+        graph,
+        spec,
+        std::iter::once(single_proc_candidate(graph, spec)).chain(multi),
+    )
+}
+
+/// The level-partitioned `(q, assignment, order)` for every machine
+/// prefix `q ∈ {2..p}`.
+fn partition_plans(
+    graph: &Cdag,
+    p: usize,
+) -> impl Iterator<Item = (usize, Vec<usize>, Vec<NodeId>)> + '_ {
     let order_all = computed_nodes(graph);
     let levels = topo_levels(graph);
     let bottoms = bottom_levels(graph);
-
-    let mut best = replayed(graph, spec, single_proc_candidate(graph, spec));
-    for q in 2..=p {
+    (2..=p).map(move |q| {
         // LPT assignment level by level: within each level, heaviest
         // bottom level first, each to the least-loaded active processor.
         let mut load: Vec<Weight> = vec![0; q];
@@ -164,27 +186,38 @@ pub fn partition_schedule_with_stats(
         // slice of a level runs contiguously.
         let mut order = order_all.clone();
         order.sort_by_key(|&v| (levels[v.index()], assignment[v.index()], v.index()));
-        let candidate = multi_sim::simulate(graph, spec, q, &assignment, &order);
-        best = better(best, replayed(graph, spec, candidate));
-    }
-    best
+        (q, assignment, order)
+    })
 }
 
 /// Work-conserving communication-aware list scheduling (see the module
-/// docs).  Returns `None` when infeasible under the per-processor budgets.
-pub fn comm_list_schedule(graph: &Cdag, spec: &MachineSpec) -> Option<MultiSchedule> {
-    Some(comm_list_schedule_with_stats(graph, spec)?.0)
+/// docs).  Fails with [`ScheduleError::InfeasibleBudget`] when infeasible
+/// under the per-processor budgets.
+pub fn comm_list_schedule(
+    graph: &Cdag,
+    spec: &MachineSpec,
+) -> Result<MultiSchedule, ScheduleError> {
+    Ok(comm_list_schedule_with_stats(graph, spec)?.0)
 }
 
 /// As [`comm_list_schedule`], also returning the replayed [`MultiStats`].
 pub fn comm_list_schedule_with_stats(
     graph: &Cdag,
     spec: &MachineSpec,
-) -> Option<(MultiSchedule, MultiStats)> {
+) -> Result<(MultiSchedule, MultiStats), ScheduleError> {
+    let candidate = if spec.num_procs() == 1 {
+        single_proc_candidate(graph, spec)
+    } else {
+        let (assignment, order) = comm_list_plan(graph, spec);
+        multi_sim::simulate(graph, spec, spec.num_procs(), &assignment, &order)
+    };
+    best_of(graph, spec, std::iter::once(candidate))
+}
+
+/// The list scheduler's `(assignment, order)` on all of `spec`'s
+/// processors.  Its finish-time estimates saturate: they only rank.
+fn comm_list_plan(graph: &Cdag, spec: &MachineSpec) -> (Vec<usize>, Vec<NodeId>) {
     let p = spec.num_procs();
-    if p == 1 {
-        return replayed(graph, spec, single_proc_candidate(graph, spec));
-    }
     let n = graph.len();
     let bottoms = bottom_levels(graph);
 
@@ -217,19 +250,16 @@ pub fn comm_list_schedule_with_stats(
         // q, a load for blue-only operands, a priced communication for
         // operands homed elsewhere.
         let fetch = |v: NodeId, home: &[usize]| -> Weight {
-            graph
-                .preds(v)
-                .iter()
-                .map(|&u| {
-                    if home[u.index()] == q {
-                        0
-                    } else if home[u.index()] == usize::MAX {
-                        graph.weight(u)
-                    } else {
-                        spec.comm_price() * graph.weight(u)
-                    }
+            graph.preds(v).iter().fold(0, |sum: Weight, &u| {
+                let w = graph.weight(u);
+                sum.saturating_add(if home[u.index()] == q {
+                    0
+                } else if home[u.index()] == usize::MAX {
+                    w
+                } else {
+                    spec.comm_price().saturating_mul(w)
                 })
-                .sum()
+            })
         };
         // Choose the ready node that best trades critical-path priority
         // against communication onto q.
@@ -248,7 +278,7 @@ pub fn comm_list_schedule_with_stats(
         let v = ready.swap_remove(slot);
         let f = fetch(v, &home);
         assignment[v.index()] = q;
-        clock[q] += f + graph.weight(v);
+        clock[q] = clock[q].saturating_add(f).saturating_add(graph.weight(v));
         home[v.index()] = q;
         order.push(v);
         for &s in graph.succs(v) {
@@ -260,16 +290,16 @@ pub fn comm_list_schedule_with_stats(
     }
     // `order` is topological by construction (a node is dispatched only
     // after all its predecessors were).
-    let candidate = multi_sim::simulate(graph, spec, p, &assignment, &order);
-    replayed(graph, spec, candidate)
+    (assignment, order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblyn_core::{min_feasible_budget, validate_schedule, CdagBuilder};
+    use crate::greedy_belady;
+    use pebblyn_core::{min_feasible_budget, validate_schedule, CdagBuilder, MultiMove};
     use pebblyn_graphs::testgraphs::{diamond, fft_butterfly, random_layered_dag};
-    use pebblyn_graphs::WeightScheme;
+    use pebblyn_graphs::{DwtGraph, WeightScheme};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -295,7 +325,7 @@ mod tests {
                 ("partition", partition_schedule(&g, &spec)),
                 ("comm-list", comm_list_schedule(&g, &spec)),
             ] {
-                let ms = got.unwrap_or_else(|| panic!("{label} infeasible at p=1"));
+                let ms = got.unwrap_or_else(|e| panic!("{label} failed at p=1: {e}"));
                 assert_eq!(
                     ms.project_single().expect("p=1 projects"),
                     expected,
@@ -315,7 +345,7 @@ mod tests {
                     ("partition", partition_schedule_with_stats(&g, &spec)),
                     ("comm-list", comm_list_schedule_with_stats(&g, &spec)),
                 ] {
-                    let (_, stats) = got.unwrap_or_else(|| panic!("{label} infeasible p={p}"));
+                    let (_, stats) = got.unwrap_or_else(|e| panic!("{label} failed p={p}: {e}"));
                     for (q, &peak) in stats.peak_red.iter().enumerate() {
                         assert!(peak <= spec.proc_budget(q), "{label} p{q} over budget");
                     }
@@ -405,5 +435,81 @@ mod tests {
             assert_eq!(classic.cost, stats.io_cost);
             assert_eq!(stats.comm_moves, 0);
         }
+    }
+
+    /// Every eviction on every processor of both policies picks a
+    /// furthest-next-use victim, under the kernel's full-scan audit.
+    #[test]
+    fn evictions_are_belady_on_every_processor() {
+        let mut evictions = 0;
+        for g in graphs() {
+            let minb = min_feasible_budget(&g);
+            for b in [minb, minb + 16, minb + 24] {
+                for p in [2usize, 4] {
+                    let spec = MachineSpec::symmetric(p, b);
+                    let mut plans: Vec<_> = partition_plans(&g, p).collect();
+                    let (assignment, order) = comm_list_plan(&g, &spec);
+                    plans.push((p, assignment, order));
+                    for (q, assignment, order) in plans {
+                        let Some((s, violations)) =
+                            multi_sim::simulate_audited(&g, &spec, q, &assignment, &order)
+                        else {
+                            continue;
+                        };
+                        assert_eq!(violations, 0, "q={q} of p={p} at budget {b}");
+                        evictions += s
+                            .iter()
+                            .filter(|m| matches!(m, MultiMove::Delete { .. }))
+                            .count();
+                    }
+                }
+            }
+        }
+        assert!(evictions > 0, "the audit saw no eviction");
+    }
+
+    /// `DWT(16, 2)` at 2^58 bits a node: the weights sum below 2^64, but
+    /// some candidates' replayed clock and cost sums do not.
+    fn heavy_dwt() -> Cdag {
+        DwtGraph::new(16, 2, WeightScheme::Equal(1 << 58))
+            .expect("weights sum below 2^64")
+            .cdag()
+            .clone()
+    }
+
+    #[test]
+    fn comm_list_reports_a_replay_overflow_as_typed() {
+        let g = heavy_dwt();
+        let b = min_feasible_budget(&g);
+        for p in [2, 4] {
+            let got = comm_list_schedule(&g, &MachineSpec::symmetric(p, b));
+            assert!(
+                matches!(
+                    got,
+                    Err(ScheduleError::MultiValidationFailed(
+                        ValidityError::WeightOverflow { .. }
+                    ))
+                ),
+                "p={p}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn partition_drops_only_the_overflowing_candidate() {
+        let g = heavy_dwt();
+        let b = min_feasible_budget(&g);
+        // The q = 1 candidate's replay overflows its makespan clock; q = 2
+        // fits.
+        let spec = MachineSpec::symmetric(2, b);
+        let q1 = single_proc_candidate(&g, &spec).expect("q = 1 fits the budget");
+        assert!(matches!(
+            validate_multi_schedule(&g, &spec, &q1),
+            Err(ValidityError::WeightOverflow { .. })
+        ));
+        let (_, stats) = partition_schedule_with_stats(&g, &spec).expect("q = 2 fits");
+        assert_eq!((stats.io_cost, stats.makespan), (56 << 58, 40 << 58));
+        let four = partition_schedule_with_stats(&g, &MachineSpec::symmetric(4, b));
+        assert!(four.is_ok(), "p=4: {four:?}");
     }
 }

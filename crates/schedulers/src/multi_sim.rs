@@ -1,17 +1,19 @@
-//! The shared multiprocessor schedule simulator.
+//! The shared schedule simulator behind greedy-belady (one processor)
+//! and both multiprocessor schedulers.
 //!
-//! Both multiprocessor schedulers ([`crate::multi`]) are *assignment
-//! policies*: they decide which processor computes each node and in what
-//! global order.  This module turns such an `(assignment, order)` pair
-//! into a concrete, rule-respecting [`MultiSchedule`]:
+//! The schedulers are *assignment policies*: they decide which processor
+//! computes each node and in what global order.  This module turns such
+//! an `(assignment, order)` pair into a concrete, rule-respecting
+//! [`MultiSchedule`]:
 //!
-//! * each processor runs **Belady eviction** over its own future use
-//!   positions (the furthest-next-use policy of
-//!   [`crate::greedy_belady`], per red set),
+//! * each active processor evicts through its own [`Belady`] kernel, whose
+//!   next-use chain covers that processor's computes only; a value with
+//!   no use left on a processor stays red there until it ages out as a
+//!   furthest-key victim;
 //! * a needed operand is acquired by the cheapest legal means: already
 //!   red on the processor → free; blue → a load; red only on another
 //!   processor → a [`MultiMove::Comm`] from the least-loaded holder
-//!   (communication-aware source selection under the timing model),
+//!   (communication-aware source selection under the timing model);
 //! * evicting a dirty value stores it first exactly when it is needed
 //!   again on *some* processor (or is an unstored sink) and no other
 //!   processor still holds it red — the invariant that every
@@ -22,8 +24,8 @@
 //! assigned processor's budget — the multiprocessor analogue of the
 //! single-processor schedulers' infeasibility.
 
-use pebblyn_core::{Cdag, MachineSpec, MultiMove, MultiSchedule, NodeId, RedSet, Weight};
-use std::collections::BinaryHeap;
+use pebblyn_core::{Cdag, MachineSpec, MultiMove, MultiSchedule, NodeId, Weight};
+use pebblyn_streaming::Belady;
 
 /// Simulate per-processor Belady scheduling of `order` (a topological
 /// order of the non-source nodes) with node-to-processor `assignment`
@@ -38,217 +40,164 @@ pub(crate) fn simulate(
     assignment: &[usize],
     order: &[NodeId],
 ) -> Option<MultiSchedule> {
+    simulate_with(graph, spec, active, assignment, order, false).map(|(s, _)| s)
+}
+
+/// [`simulate`], auditing every eviction when `audit` is set; also
+/// returns the audit's violation count over all processors.
+fn simulate_with(
+    graph: &Cdag,
+    spec: &MachineSpec,
+    active: usize,
+    assignment: &[usize],
+    order: &[NodeId],
+    audit: bool,
+) -> Option<(MultiSchedule, u64)> {
     debug_assert!(active >= 1 && active <= spec.num_procs());
-    let n = graph.len();
-    // use_positions[q][v] = positions in `order` where processor q's
-    // computes consume v, ascending.
-    let mut use_positions: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; active];
-    for (pos, &v) in order.iter().enumerate() {
+    let mut sim = Sim {
+        graph,
+        comm_price: spec.comm_price(),
+        procs: (0..active)
+            .map(|q| {
+                let mine = order.iter().copied().filter(|v| assignment[v.index()] == q);
+                Belady::new(graph, mine, spec.proc_budget(q), 0, audit)
+            })
+            .collect(),
+        blue: graph.nodes().map(|v| graph.is_source(v)).collect(),
+        clock: vec![0; active],
+        moves: MultiSchedule::new(),
+    };
+    for &v in order {
+        debug_assert!(!graph.is_source(v), "order lists computed nodes only");
         let q = assignment[v.index()];
         debug_assert!(q < active, "assignment targets an inactive processor");
-        for &u in graph.preds(v) {
-            use_positions[q][u.index()].push(pos);
-        }
-    }
-
-    let mut blue = RedSet::new(n);
-    for &v in graph.sources() {
-        blue.insert(v, graph.weight(v));
-    }
-    let mut st = Sim {
-        graph,
-        spec,
-        active,
-        moves: MultiSchedule::new(),
-        red: (0..active).map(|_| RedSet::new(n)).collect(),
-        blue,
-        clock: vec![0; active],
-        pinned: vec![false; n],
-        next_use_cursor: vec![vec![0; n]; active],
-        use_positions,
-        victims: (0..active).map(|_| BinaryHeap::new()).collect(),
-    };
-
-    for (pos, &v) in order.iter().enumerate() {
-        debug_assert!(!graph.is_source(v), "order lists computed nodes only");
-        if !st.compute(pos, v, assignment[v.index()]) {
-            return None;
-        }
+        sim.compute(v, q)?;
     }
     // Stopping condition: every sink needs a blue copy.  A red-only sink
     // is stored from whichever processor still holds it (there is always
     // one — eviction never drops the last copy of a dirty sink).
     for &v in graph.sinks() {
-        if st.blue.contains(v) {
-            continue;
+        if !sim.blue[v.index()] {
+            let holder = sim.procs.iter().position(|k| k.is_red(v))?;
+            sim.store(holder, v);
         }
-        let holder = (0..active).find(|&q| st.red[q].contains(v))?;
-        st.store(holder, v);
     }
-    Some(st.moves)
+    let violations = sim.procs.iter().map(Belady::audit_violations).sum();
+    Some((sim.moves, violations))
 }
 
 struct Sim<'a> {
     graph: &'a Cdag,
-    spec: &'a MachineSpec,
-    active: usize,
-    moves: MultiSchedule,
-    red: Vec<RedSet>,
-    blue: RedSet,
+    comm_price: Weight,
+    /// One eviction kernel per active processor.
+    procs: Vec<Belady<'a>>,
+    /// Whether each value has a blue copy.
+    blue: Vec<bool>,
     /// Per-processor finish-time estimates under the timing model; used
-    /// to pick the cheapest communication source, not for validity.
+    /// to pick the cheapest communication source, not for validity, so
+    /// they saturate rather than overflow.
     clock: Vec<Weight>,
-    pinned: Vec<bool>,
-    next_use_cursor: Vec<Vec<usize>>,
-    use_positions: Vec<Vec<Vec<usize>>>,
-    /// Per-processor max-heaps of (next_use, node) victim candidates;
-    /// entries may be stale and are re-validated on pop (lazy deletion).
-    victims: Vec<BinaryHeap<(usize, NodeId)>>,
+    moves: MultiSchedule,
 }
 
-impl<'a> Sim<'a> {
-    /// The next position at which `v` is consumed by processor `q`'s
-    /// computes, from `now` onward; `usize::MAX` when never again.
-    fn next_use(&mut self, q: usize, v: NodeId, now: usize) -> usize {
-        let uses = &self.use_positions[q][v.index()];
-        let cur = &mut self.next_use_cursor[q][v.index()];
-        while *cur < uses.len() && uses[*cur] < now {
-            *cur += 1;
+impl Sim<'_> {
+    fn compute(&mut self, v: NodeId, q: usize) -> Option<()> {
+        let graph = self.graph;
+        let preds = graph.preds(v);
+        self.procs[q].pin(preds);
+        for &u in preds {
+            if !self.procs[q].is_red(u) {
+                self.acquire(q, u)?;
+            }
         }
-        uses.get(*cur).copied().unwrap_or(usize::MAX)
+        self.make_room(q, graph.weight(v))?;
+        self.moves.push(MultiMove::Compute { proc: q, node: v });
+        self.clock[q] = self.clock[q].saturating_add(graph.weight(v));
+        let k = &mut self.procs[q];
+        k.admit(v);
+        k.offer(v);
+        // The operands' just-consumed uses are gone, so their keys grew;
+        // grown keys must be offered eagerly (the kernel's lazy
+        // revalidation can only shrink a stale entry's priority).
+        for &u in preds {
+            k.consume(u);
+            k.offer(u);
+        }
+        k.finish_step();
+        Some(())
     }
 
-    /// The next position at which any processor consumes `v`.
-    fn next_use_anywhere(&mut self, v: NodeId, now: usize) -> usize {
-        (0..self.active)
-            .map(|q| self.next_use(q, v, now))
-            .min()
-            .unwrap_or(usize::MAX)
-    }
-
-    fn insert_resident(&mut self, q: usize, v: NodeId, now: usize) {
-        self.red[q].insert(v, self.graph.weight(v));
-        let nu = self.next_use(q, v, now);
-        self.victims[q].push((nu, v));
+    /// Make `u` red on processor `q`: a load if blue, otherwise a
+    /// communication from the least-loaded holder.
+    fn acquire(&mut self, q: usize, u: NodeId) -> Option<()> {
+        let w = self.graph.weight(u);
+        self.make_room(q, w)?;
+        if self.blue[u.index()] {
+            self.moves.push(MultiMove::Load { proc: q, node: u });
+            self.clock[q] = self.clock[q].saturating_add(w);
+        } else {
+            // Red on some other processor (the recoverability invariant).
+            // Choose the sender with the smallest clock: the communication
+            // synchronizes both endpoints, so the cheapest source is the
+            // one that least delays the receiver.
+            let sender = (0..self.procs.len())
+                .filter(|&r| self.procs[r].is_red(u))
+                .min_by_key(|&r| (self.clock[r], r));
+            let Some(r) = sender else {
+                debug_assert!(false, "value {u} neither blue nor red anywhere");
+                return None;
+            };
+            self.moves.push(MultiMove::Comm {
+                from: r,
+                to: q,
+                node: u,
+            });
+            let t = self.clock[r]
+                .max(self.clock[q])
+                .saturating_add(self.comm_price.saturating_mul(w));
+            self.clock[r] = t;
+            self.clock[q] = t;
+        }
+        self.procs[q].admit(u);
+        self.procs[q].offer(u);
+        Some(())
     }
 
     fn store(&mut self, q: usize, v: NodeId) {
         let w = self.graph.weight(v);
         self.moves.push(MultiMove::Store { proc: q, node: v });
-        self.blue.insert(v, w);
-        self.clock[q] += w;
+        self.blue[v.index()] = true;
+        self.clock[q] = self.clock[q].saturating_add(w);
     }
 
-    fn make_room(&mut self, q: usize, extra: Weight, now: usize) -> bool {
-        while self.red[q].weight() + extra > self.spec.proc_budget(q) {
-            // Pop until a live, unpinned resident entry with a current key
-            // surfaces (lazy revalidation); pinned entries are parked and
-            // re-inserted so they stay evictable later.
-            let mut parked: Vec<(usize, NodeId)> = Vec::new();
-            let victim = loop {
-                let Some((key, v)) = self.victims[q].pop() else {
-                    self.victims[q].extend(parked);
-                    return false;
-                };
-                if !self.red[q].contains(v) {
-                    continue; // stale entry for an already-evicted node
-                }
-                if self.pinned[v.index()] {
-                    parked.push((key, v));
-                    continue;
-                }
-                let fresh = self.next_use(q, v, now);
-                if fresh != key {
-                    self.victims[q].push((fresh, v));
-                    continue;
-                }
-                break v;
-            };
-            self.victims[q].extend(parked);
-            let dirty = !self.blue.contains(victim);
-            let red_elsewhere = (0..self.active).any(|r| r != q && self.red[r].contains(victim));
-            let needed_again = self.next_use_anywhere(victim, now) != usize::MAX
-                || (self.graph.is_sink(victim) && dirty);
-            if dirty && needed_again && !red_elsewhere {
-                self.store(q, victim);
+    /// Evict Belady victims on `q` until `need` more bits fit.  A dirty
+    /// victim is stored first when it would otherwise be lost: still
+    /// needed on some processor (or an unstored sink) and red nowhere
+    /// else.
+    fn make_room(&mut self, q: usize, need: Weight) -> Option<()> {
+        while let Some(u) = self.procs[q].next_victim(need).ok()? {
+            if !self.blue[u.index()]
+                && !self.procs.iter().any(|k| k.is_red(u))
+                && (self.graph.is_sink(u) || self.procs.iter().any(|k| k.needed_again(u)))
+            {
+                self.store(q, u);
             }
-            self.moves.push(MultiMove::Delete {
-                proc: q,
-                node: victim,
-            });
-            self.red[q].remove(victim, self.graph.weight(victim));
+            self.moves.push(MultiMove::Delete { proc: q, node: u });
         }
-        true
+        Some(())
     }
+}
 
-    /// Make `v` red on processor `q`: free if already resident, a load if
-    /// blue, otherwise a communication from the least-loaded holder.
-    fn make_red(&mut self, q: usize, v: NodeId, now: usize) -> bool {
-        if self.red[q].contains(v) {
-            return true;
-        }
-        let w = self.graph.weight(v);
-        if !self.make_room(q, w, now) {
-            return false;
-        }
-        if self.blue.contains(v) {
-            self.moves.push(MultiMove::Load { proc: q, node: v });
-            self.clock[q] += w;
-            self.insert_resident(q, v, now);
-            return true;
-        }
-        // Red on some other processor (the recoverability invariant).
-        // Choose the sender with the smallest clock: the communication
-        // synchronizes both endpoints, so the cheapest source is the one
-        // that least delays the receiver.
-        let sender = (0..self.active)
-            .filter(|&r| r != q && self.red[r].contains(v))
-            .min_by_key(|&r| (self.clock[r], r));
-        let Some(r) = sender else {
-            debug_assert!(false, "value {v} neither blue nor red anywhere");
-            return false;
-        };
-        self.moves.push(MultiMove::Comm {
-            from: r,
-            to: q,
-            node: v,
-        });
-        let t = self.clock[r].max(self.clock[q]) + self.spec.comm_price() * w;
-        self.clock[r] = t;
-        self.clock[q] = t;
-        self.insert_resident(q, v, now);
-        true
-    }
-
-    fn compute(&mut self, now: usize, v: NodeId, q: usize) -> bool {
-        for &u in self.graph.preds(v) {
-            self.pinned[u.index()] = true;
-        }
-        let ok = self
-            .graph
-            .preds(v)
-            .to_vec()
-            .into_iter()
-            .all(|u| self.make_red(q, u, now))
-            && self.make_room(q, self.graph.weight(v), now);
-        for &u in self.graph.preds(v) {
-            self.pinned[u.index()] = false;
-        }
-        if !ok {
-            return false;
-        }
-        self.moves.push(MultiMove::Compute { proc: q, node: v });
-        self.clock[q] += self.graph.weight(v);
-        self.insert_resident(q, v, now + 1);
-        // Re-key the parents on q: their just-consumed use is gone, so
-        // their next-use keys grew; grown keys must be pushed eagerly
-        // (lazy revalidation on pop can only shrink stale priorities).
-        for &u in self.graph.preds(v) {
-            if self.red[q].contains(u) {
-                let nu = self.next_use(q, u, now + 1);
-                self.victims[q].push((nu, u));
-            }
-        }
-        true
-    }
+/// [`simulate`] with every eviction audited, also returning the
+/// evictions that passed over a strictly better victim (0 in a correct
+/// build).
+#[cfg(test)]
+pub(crate) fn simulate_audited(
+    graph: &Cdag,
+    spec: &MachineSpec,
+    active: usize,
+    assignment: &[usize],
+    order: &[NodeId],
+) -> Option<(MultiSchedule, u64)> {
+    simulate_with(graph, spec, active, assignment, order, true)
 }

@@ -347,7 +347,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblyn_core::{validate_schedule, MachineSpec};
+    use pebblyn_core::{min_feasible_budget, validate_schedule, MachineSpec};
 
     fn workload_request(id: u64, budget: Weight, scheduler: &str) -> Request {
         Request {
@@ -543,5 +543,31 @@ mod tests {
             panic!("expected rejection")
         };
         assert_eq!(kind, RejectKind::Infeasible);
+    }
+
+    /// A replay that overflows a 64-bit sum is a typed validation failure,
+    /// not an infeasible budget: at 2^58 bits a node, comm-list's only
+    /// candidate for `DWT(16, 2)` on two processors overflows the replayed
+    /// clocks at a budget the game admits.
+    #[test]
+    fn replay_overflow_is_a_validation_failure() {
+        let svc = Service::with_default_config();
+        let workload = Workload::Dwt { n: 16, d: 2 };
+        let scheme = WeightScheme::Equal(1 << 58);
+        let g = AnyGraph::build(workload, scheme).unwrap();
+        let machine = MachineSpec::symmetric(2, min_feasible_budget(g.cdag()));
+        let req = Request {
+            id: 11,
+            ask: ScheduleRequest::new(
+                GraphSpec::Workload { workload, scheme },
+                machine,
+                "comm-list",
+            ),
+            no_cache: false,
+        };
+        let Outcome::Rejected { kind, message, .. } = svc.handle(req).outcome else {
+            panic!("expected rejection")
+        };
+        assert_eq!(kind, RejectKind::ValidationFailed, "{message}");
     }
 }

@@ -18,6 +18,9 @@
 //!   must cross it (reload-aware cuts), then emit a load / compute / store /
 //!   flush phase per slab.
 //!
+//! [`belady`] is the eviction kernel under the first, and the workspace's
+//! only Belady implementation: `pebblyn-schedulers` evicts through it too.
+//!
 //! Neither scheduler is optimal; both are *certified* instead: they succeed
 //! exactly when Prop 2.3 says a schedule exists (`budget ≥
 //! min_feasible_budget`), every emitted schedule replays cleanly under the
@@ -32,8 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod belady;
 pub mod slab;
 pub mod window;
 
+pub use belady::{Belady, Exhausted};
 pub use slab::{slab_schedule, slab_schedule_with, SlabConfig, SlabStats};
 pub use window::{window_schedule, window_schedule_with, WindowConfig, WindowStats};

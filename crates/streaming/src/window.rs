@@ -1,47 +1,25 @@
 //! Topological-window greedy with Belady-style furthest-next-use eviction.
 //!
-//! Nodes are computed in topological order.  Every value that enters fast
-//! memory is tracked in a lazy max-heap keyed by its next consumption
-//! position in the compute order; when the weighted budget would overflow,
-//! the resident with the *furthest* next use is evicted (Belady's MIN
-//! policy).  The streaming twist is the **window**: next uses more than
-//! `window` compute steps ahead are indistinguishable — they all clamp to
-//! the same "beyond horizon" key — so the scheduler only ever relies on
-//! lookahead a real streaming frontend could buffer.
+//! Nodes are computed in topological order, and when the weighted budget
+//! would overflow, the [`Belady`] kernel evicts the resident with the
+//! *furthest* next use in the compute order (Belady's MIN policy).  The
+//! streaming twist is the **window**: next uses more than `window` compute
+//! steps ahead all clamp to one "beyond horizon" key, so the scheduler
+//! only relies on lookahead a real streaming frontend could buffer.
 //!
-//! The whole pass is O((V + E) log R) for R resident values, and the hot
-//! loop is engineered for the million-node regime, where it is cache-miss
-//! bound rather than compute bound:
-//!
-//! * a **next-use chain** is precomputed by one backward sweep over the
-//!   edge-consumption events, so advancing an operand's next use is a
-//!   sequential read instead of a use-list lookup;
-//! * each node's residency flags and next-use position live in one packed
-//!   8-byte [`NodeRec`], so touching an operand costs one scattered cache
-//!   line, not three;
-//! * values whose last consumption just happened are reclaimed on the spot
-//!   (deletes are free), keeping dead entries out of the heap, and the
-//!   heap itself is compacted once stale entries pile up, so its size
-//!   stays O(residents) even on eviction-free runs.
-//!
-//! Eager re-push after each consumption keeps at least one live-keyed
-//! entry per resident, so the popped maximum is the true Belady victim —
-//! the audit mode used by the unit tests verifies exactly that.
-
-use std::collections::BinaryHeap;
+//! The O((V + E) log R) pass (R residents) is built for the cache-miss
+//! bound million-node regime: the kernel's chain and packed records, a
+//! move stream reserved up front, and dead values kept out of the heap —
+//! deleted at their last use (deletes are free), sinks stored when
+//! computed.
 
 use pebblyn_core::{min_feasible_budget, Cdag, Move, MoveStream, NodeId, Schedule, Weight};
 use pebblyn_telemetry::{self as telemetry, Counter, Gauge};
 
+use crate::belady::Belady;
+
 /// Default lookahead window, in compute steps.
 pub const DEFAULT_WINDOW: usize = 1024;
-
-/// Next-use key for a value with no remaining consumers.
-const KEY_DEAD: u64 = u64::MAX;
-/// Next-use key for a value whose next consumer is beyond the window.
-const KEY_BEYOND: u64 = u64::MAX - 1;
-/// Sentinel next-use position: no further consumption.
-const NO_USE: u32 = u32::MAX;
 
 /// Tuning knobs for [`window_schedule_with`].
 #[derive(Debug, Clone)]
@@ -102,360 +80,111 @@ pub fn window_schedule_with(
     if budget < min_feasible_budget(graph) {
         return None;
     }
-    let mut state = State::new(graph, budget, cfg);
+    let computes = graph
+        .topo_order()
+        .iter()
+        .copied()
+        .filter(|&v| !graph.is_source(v));
+    let mut state = State {
+        graph,
+        belady: Belady::new(graph, computes, budget, cfg.window, cfg.audit),
+        // Reserved at a provable bound — computes + stores ≤ 2·steps,
+        // loads ≤ edges, deletes ≤ loads + computes — so the columns never
+        // regrow: at a million nodes each regrowth is a multi-ten-MB remap
+        // that costs more than the scheduling itself.
+        moves: MoveStream::with_capacity(
+            3 * (graph.len() - graph.sources().len()) + 2 * graph.edge_count(),
+        ),
+        stats: WindowStats::default(),
+    };
     state.run();
-    let State { moves, stats, .. } = state;
+    let mut stats = state.stats;
+    stats.peak_red = state.belady.peak();
+    stats.audit_violations = state.belady.audit_violations();
     telemetry::add(Counter::StreamNodes, stats.computes);
     telemetry::add(Counter::WindowEvictions, stats.evictions);
     telemetry::gauge_max(Gauge::WindowPeak, stats.peak_red);
-    Some((Schedule::from_stream(moves), stats))
+    Some((Schedule::from_stream(state.moves), stats))
 }
 
-const RED: u8 = 1;
-const BLUE: u8 = 2;
-const DIRTY: u8 = 4;
-const PINNED: u8 = 8;
-/// Transient marker used only inside [`State::compact_victims`].
-const SEEN: u8 = 16;
-
-/// Per-node scheduler state packed into one 8-byte record so the hot loop
-/// costs a single scattered cache line per operand.
-#[derive(Clone, Copy)]
-struct NodeRec {
-    /// Next consumption position in the compute order ([`NO_USE`] = none).
-    next: u32,
-    /// RED / BLUE / DIRTY / PINNED bits.
-    flags: u8,
-}
-
-/// Compact the victim heap once it exceeds `COMPACT_FACTOR` entries per
-/// resident: without this, graphs scheduled under ample budgets (few
-/// evictions, so the heap is rarely drained) accumulate one stale entry
-/// per consumed edge and heap pushes degrade to O(log E) with cold cache
-/// lines.  Compaction is O(heap) and amortized O(1) per push.
-const COMPACT_FACTOR: usize = 4;
-
-/// The eviction key for a value whose next consumption is `next`, seen
-/// from compute position `t`: the position itself, clamped to
-/// [`KEY_BEYOND`] past the window and [`KEY_DEAD`] when no consumption
-/// remains.  Larger keys are better victims.
-#[inline]
-fn key_of(next: u32, t: usize, window: usize) -> u64 {
-    if next == NO_USE {
-        return KEY_DEAD;
-    }
-    if window > 0 && u64::from(next) > (t as u64).saturating_add(window as u64) {
-        KEY_BEYOND
-    } else {
-        u64::from(next)
-    }
-}
-
+/// The single pass.  The kernel's caller mark is the dirty bit: set on
+/// compute, cleared by a store.
 struct State<'g> {
     graph: &'g Cdag,
-    budget: Weight,
-    window: usize,
-    audit: bool,
-    /// Next-use chain in consumption order: entry `k` is the compute
-    /// position at which the operand of the `k`-th edge-consumption event
-    /// is consumed *next* ([`NO_USE`] = never again).  Events are numbered
-    /// in compute order, operands in predecessor-slice order, so the run
-    /// loop reads this array strictly sequentially.
-    next_at: Vec<u32>,
-    /// Packed per-node flags and next-use position.
-    rec: Vec<NodeRec>,
-    red_weight: Weight,
-    /// Residents currently red (invariant: every red node has at least one
-    /// heap entry, so compaction can enumerate residents from the heap).
-    red_count: usize,
-    /// Max-heap of `(next-use key, node)` eviction candidates; entries are
-    /// revalidated lazily at pop time and compacted once stale entries
-    /// outnumber residents by [`COMPACT_FACTOR`].
-    victims: BinaryHeap<(u64, NodeId)>,
+    belady: Belady<'g>,
     moves: MoveStream,
     stats: WindowStats,
 }
 
-impl<'g> State<'g> {
-    fn new(graph: &'g Cdag, budget: Weight, cfg: &WindowConfig) -> Self {
-        let n = graph.len();
-        // Every edge is consumed exactly once, at its head's compute step.
-        let events = graph.edge_count();
-        let steps = n - graph.sources().len();
-
-        let mut rec = vec![
-            NodeRec {
-                next: NO_USE,
-                flags: 0
-            };
-            n
-        ];
-
-        // One backward sweep over the compute order threads each operand's
-        // consumptions into a chain: event k records where its operand is
-        // consumed next, and `rec.next` ends holding every node's first
-        // consumption.  Slots within a step run in reverse so that, when
-        // the forward pass overwrites a node's `next` once per slot, the
-        // last write is the first consumption strictly after the step.
-        let mut next_at = vec![NO_USE; events];
-        let mut k = events;
-        let mut t = steps;
-        for &v in graph.topo_order().iter().rev() {
+impl State<'_> {
+    fn run(&mut self) {
+        let graph = self.graph;
+        for &v in graph.topo_order() {
             if graph.is_source(v) {
                 continue;
             }
             let preds = graph.preds(v);
-            t -= 1;
-            k -= preds.len();
-            for i in (0..preds.len()).rev() {
-                let p = preds[i].index();
-                next_at[k + i] = rec[p].next;
-                rec[p].next = t as u32;
-            }
-        }
-        debug_assert_eq!((k, t), (0, 0), "events and steps account for every edge");
-        for &s in graph.sources() {
-            rec[s.index()].flags = BLUE;
-        }
-
-        // Emit straight into the struct-of-arrays move stream (no
-        // Vec<Move> + conversion pass), reserved at a provable upper bound
-        // — computes + stores ≤ 2·steps (a value is stored at most once),
-        // loads ≤ events, deletes ≤ loads + computes — so the columns never
-        // regrow mid-pass: at a million nodes each regrowth is a
-        // multi-ten-MB remap that costs more than the scheduling itself.
-        let moves = MoveStream::with_capacity(3 * steps + 2 * events);
-
-        Self {
-            graph,
-            budget,
-            window: cfg.window,
-            audit: cfg.audit,
-            next_at,
-            rec,
-            red_weight: 0,
-            red_count: 0,
-            victims: BinaryHeap::with_capacity(1024),
-            moves,
-            stats: WindowStats::default(),
-        }
-    }
-
-    #[inline]
-    fn has(&self, u: NodeId, bit: u8) -> bool {
-        self.rec[u.index()].flags & bit != 0
-    }
-
-    #[inline]
-    fn set(&mut self, u: NodeId, bit: u8) {
-        self.rec[u.index()].flags |= bit;
-    }
-
-    #[inline]
-    fn clear(&mut self, u: NodeId, bit: u8) {
-        self.rec[u.index()].flags &= !bit;
-    }
-
-    fn needed_again(&self, u: NodeId) -> bool {
-        self.rec[u.index()].next != NO_USE
-    }
-
-    /// The live eviction key of `u` at compute position `t`.
-    #[inline]
-    fn key(&self, u: NodeId, t: usize) -> u64 {
-        key_of(self.rec[u.index()].next, t, self.window)
-    }
-
-    /// Push an eviction candidate, compacting the heap when stale entries
-    /// pile up (see [`COMPACT_FACTOR`]).  Not used from inside
-    /// [`Self::make_room`], whose own re-pushes never grow the heap net.
-    #[inline]
-    fn push_victim(&mut self, key: u64, u: NodeId, t: usize) {
-        self.victims.push((key, u));
-        if self.victims.len() > 64 && self.victims.len() > COMPACT_FACTOR * self.red_count {
-            self.compact_victims(t);
-        }
-    }
-
-    /// Rebuild the heap with exactly one live-keyed entry per resident.
-    /// Every resident has at least one heap entry (eager re-push), so
-    /// draining the old heap enumerates them all.
-    fn compact_victims(&mut self, t: usize) {
-        let old = std::mem::take(&mut self.victims).into_vec();
-        let mut keep: Vec<(u64, NodeId)> = Vec::with_capacity(self.red_count);
-        for (_, u) in old {
-            // Transient SEEN bit dedups residents with several heap entries;
-            // cleared again before returning.
-            if self.has(u, RED) && !self.has(u, SEEN) {
-                self.set(u, SEEN);
-                keep.push((self.key(u, t), u));
-            }
-        }
-        for &(_, u) in &keep {
-            self.clear(u, SEEN);
-        }
-        self.victims = BinaryHeap::from(keep);
-    }
-
-    fn run(&mut self) {
-        // Compute-step and edge-event cursors, advancing in lockstep with
-        // the topological order exactly as `next_at` was laid out.
-        let mut t = 0usize;
-        let mut k = 0usize;
-        for &v in self.graph.topo_order() {
-            if self.graph.is_source(v) {
-                continue;
-            }
-            // Pin the operands and the target for the duration of the step.
-            self.set(v, PINNED);
-            for &p in self.graph.preds(v) {
-                self.set(p, PINNED);
-            }
-            for &p in self.graph.preds(v) {
-                if !self.has(p, RED) {
-                    self.load(p, t);
+            self.belady.pin(preds);
+            for &p in preds {
+                if !self.belady.is_red(p) {
+                    self.make_room(graph.weight(p));
+                    self.moves.push(Move::Load(p));
+                    self.belady.admit(p);
+                    self.belady.offer(p);
+                    self.stats.loads += 1;
                 }
             }
-            self.make_room(self.graph.weight(v), t);
+            self.make_room(graph.weight(v));
             self.moves.push(Move::Compute(v));
-            self.set(v, RED | DIRTY);
-            self.red_weight += self.graph.weight(v);
-            self.red_count += 1;
-            self.stats.peak_red = self.stats.peak_red.max(self.red_weight);
+            self.belady.admit(v);
+            self.belady.mark(v, true);
             self.stats.computes += 1;
-            self.clear(v, PINNED);
-            // Consume the operands; eager re-push keeps a live-keyed heap
-            // entry for every resident (keys only grow as uses burn down).
-            // Values with no consumption left are reclaimed on the spot —
-            // deletes are free in the WRBPG and an immediate M4 both frees
-            // budget earlier and keeps dead entries out of the heap.
-            for (i, &p) in self.graph.preds(v).iter().enumerate() {
-                let next = self.next_at[k + i];
-                let r = &mut self.rec[p.index()];
-                r.flags &= !PINNED;
-                r.next = next;
-                if next == NO_USE {
-                    self.reclaim(p);
+            // Consume the operands.  Values with no use left are reclaimed
+            // on the spot — an immediate M4 both frees budget earlier and
+            // keeps dead entries out of the heap.
+            for &p in preds {
+                if self.belady.consume(p) {
+                    self.belady.offer(p);
                 } else {
-                    self.push_victim(key_of(next, t, self.window), p, t);
+                    self.moves.push(Move::Delete(p));
+                    self.belady.release(p);
                 }
             }
-            k += self.graph.preds(v).len();
-            let next_v = self.rec[v.index()].next;
-            if next_v == NO_USE {
-                // A freshly computed value with no consumers is a sink:
-                // stream it straight out and drop the red pebble.
-                self.moves.push(Move::Store(v));
-                self.set(v, BLUE);
-                self.clear(v, DIRTY);
-                self.stats.stores += 1;
-                self.reclaim(v);
+            if self.belady.needed_again(v) {
+                self.belady.offer(v);
             } else {
-                self.push_victim(key_of(next_v, t, self.window), v, t);
+                // A freshly computed value with no consumers is a sink:
+                // stream it straight out and drop the red pebble.  Every
+                // sink is stored here (sources start blue), so the
+                // stopping condition holds when the pass ends.
+                self.store(v);
+                self.moves.push(Move::Delete(v));
+                self.belady.release(v);
             }
-            t += 1;
-        }
-        // Sinks are streamed out the moment they are computed and interior
-        // values stored on eviction when needed, so by here every sink is
-        // blue; the sweep is a cheap belt-and-braces for the stopping
-        // condition.
-        for &z in self.graph.sinks() {
-            if !self.has(z, BLUE) {
-                debug_assert!(self.has(z, RED), "unsaved sink must still be red");
-                self.moves.push(Move::Store(z));
-                self.set(z, BLUE);
-                self.clear(z, DIRTY);
-                self.stats.stores += 1;
-            }
+            self.belady.finish_step();
         }
     }
 
-    fn load(&mut self, p: NodeId, t: usize) {
-        debug_assert!(self.has(p, BLUE), "loaded value must be blue");
-        self.make_room(self.graph.weight(p), t);
-        self.moves.push(Move::Load(p));
-        self.set(p, RED);
-        self.clear(p, DIRTY);
-        self.red_weight += self.graph.weight(p);
-        self.red_count += 1;
-        self.stats.peak_red = self.stats.peak_red.max(self.red_weight);
-        self.stats.loads += 1;
-        self.push_victim(self.key(p, t), p, t);
+    fn store(&mut self, u: NodeId) {
+        self.moves.push(Move::Store(u));
+        self.belady.mark(u, false);
+        self.stats.stores += 1;
     }
 
     /// Evict furthest-next-use residents until `need` more bits fit.
-    fn make_room(&mut self, need: Weight, t: usize) {
-        if self.red_weight + need <= self.budget {
-            return;
-        }
-        let mut parked = Vec::new();
-        while self.red_weight + need > self.budget {
-            let (k, u) = self
-                .victims
-                .pop()
-                .expect("budget >= min_feasible leaves an evictable resident");
-            if !self.has(u, RED) {
-                continue; // stale: already evicted
+    /// Every resident is used again (dead values were reclaimed at their
+    /// last use), so a victim needs a store exactly when it is dirty.
+    fn make_room(&mut self, need: Weight) {
+        while let Some(u) = self
+            .belady
+            .next_victim(need)
+            .expect("budget >= min_feasible leaves an evictable resident")
+        {
+            if self.belady.is_marked(u) {
+                self.store(u);
             }
-            if self.has(u, PINNED) {
-                parked.push((k, u));
-                continue;
-            }
-            let live = self.key(u, t);
-            if live > k {
-                continue; // stale: a fresher entry with the larger key exists
-            }
-            if live < k {
-                // The next use slid inside the window since this entry was
-                // pushed; re-queue at its true (smaller) key.
-                self.victims.push((live, u));
-                continue;
-            }
-            if self.audit {
-                self.audit_eviction(u, live, t);
-            }
-            self.evict(u);
-        }
-        self.victims.extend(parked);
-    }
-
-    /// Drop the red pebble of a value that will never be consumed again.
-    /// Not an eviction: nothing is displaced and no store is needed (dead
-    /// non-sinks are never stored; sinks are stored by the caller first).
-    fn reclaim(&mut self, u: NodeId) {
-        self.moves.push(Move::Delete(u));
-        self.clear(u, RED);
-        self.red_weight -= self.graph.weight(u);
-        self.red_count -= 1;
-    }
-
-    fn evict(&mut self, u: NodeId) {
-        if self.has(u, DIRTY) && (self.needed_again(u) || self.graph.is_sink(u)) {
-            self.moves.push(Move::Store(u));
-            self.set(u, BLUE);
-            self.clear(u, DIRTY);
-            self.stats.stores += 1;
-        }
-        self.moves.push(Move::Delete(u));
-        self.clear(u, RED);
-        self.red_weight -= self.graph.weight(u);
-        self.red_count -= 1;
-        self.stats.evictions += 1;
-    }
-
-    /// Audit one eviction: no other unpinned resident may have a strictly
-    /// larger live key.  In particular a value needed *within* the window
-    /// is never evicted while a beyond-window or dead resident exists.
-    fn audit_eviction(&mut self, victim: NodeId, victim_key: u64, t: usize) {
-        for w in self.graph.nodes() {
-            if w != victim
-                && self.has(w, RED)
-                && !self.has(w, PINNED)
-                && self.key(w, t) > victim_key
-            {
-                self.stats.audit_violations += 1;
-                return;
-            }
+            self.moves.push(Move::Delete(u));
+            self.stats.evictions += 1;
         }
     }
 }
