@@ -1,6 +1,6 @@
 //! Exact-search micro-benchmark: the bound-guided A\* against the plain
 //! Dijkstra baseline it replaced, plus the wide-mask / symmetry / thread
-//! ablation that certifies the post-64-node solver.
+//! check that certifies the post-64-node solver.
 //!
 //! **Section 1 (legacy races).**  For each ≤ 64-node certification-suite
 //! workload the binary runs both solvers at the same budget and reports
@@ -15,14 +15,8 @@
 //! `u64` wall, so it runs on `Words<2>` masks — is solved with symmetry
 //! reduction off and on, and then at 1 and 8 worker threads, asserting the
 //! thread count changes *nothing* (cost, every statistic, the steal count).
-//!
-//! **Section 3 (per-lever ablation).**  The 20-node reconvergent mesh is
-//! solved with each of the PR-9 levers — the landmark/PDB bound tier,
-//! certified WL-orbit symmetry, and partial expansion — enabled separately
-//! on top of the PR-8 configuration, then all together, recording expanded
-//! states, the open-list peak, and re-expansions per configuration.  A
-//! micro-bench of the hoisted forced-reload evaluation against the
-//! per-state reference DP rides along.
+//! "Symmetry off" is the A\* reconstructing its schedule, which suspends
+//! the reduction and leaves the rest of the search as it is.
 //!
 //! Expanded-state counts are deterministic on any host; wall times are
 //! same-host single-run measurements and only meaningful as ratios.
@@ -33,9 +27,7 @@
 use pebblyn::exact::{ExactError, ExactSolver, SearchStats, Solution};
 use pebblyn::prelude::*;
 use pebblyn::telemetry;
-use pebblyn_bench::{
-    diamond_chain, init_telemetry_from_args, reconvergent_mesh16, reconvergent_mesh20, results_dir,
-};
+use pebblyn_bench::{diamond_chain, init_telemetry_from_args, reconvergent_mesh16, results_dir};
 use std::time::Instant;
 
 /// One workload/budget instance both solvers race on.
@@ -90,9 +82,10 @@ struct Run {
     ms: f64,
 }
 
-fn run(solver: &ExactSolver, g: &Cdag, budget: Weight) -> Run {
+/// Time one solve.
+fn run(solve: impl FnOnce() -> Result<Solution, ExactError>) -> Run {
     let t = Instant::now();
-    let r: Result<Solution, ExactError> = solver.solve(g, budget);
+    let r = solve();
     let ms = t.elapsed().as_secs_f64() * 1e3;
     match r {
         Ok(sol) => Run {
@@ -198,12 +191,12 @@ fn main() {
         if telemetry_on {
             telemetry::reset();
         }
-        let before = run(&baseline, &case.graph, case.budget);
+        let before = run(|| baseline.solve(&case.graph, case.budget));
         if telemetry_on {
             telemetry::flush_run(&format!("{}/dijkstra", case.name));
             telemetry::reset();
         }
-        let after = run(&astar, &case.graph, case.budget);
+        let after = run(|| astar.solve(&case.graph, case.budget));
         if telemetry_on {
             telemetry::flush_run(&format!("{}/astar", case.name));
         }
@@ -277,12 +270,12 @@ fn main() {
     if telemetry_on {
         telemetry::reset();
     }
-    let sym_off = run(&astar.with_symmetry(false), &wide, wide_budget);
+    let sym_off = run(|| astar.solve_with_schedule(&wide, wide_budget));
     if telemetry_on {
         telemetry::flush_run("diamond72/sym_off");
         telemetry::reset();
     }
-    let sym_on = run(&astar, &wide, wide_budget);
+    let sym_on = run(|| astar.solve(&wide, wide_budget));
     if telemetry_on {
         telemetry::flush_run("diamond72/sym_on");
     }
@@ -294,8 +287,8 @@ fn main() {
         sym_on.stats.expanded < sym_off.stats.expanded,
         "orbit collapsing must shrink the search"
     );
-    let t1 = with_threads(1, || run(&astar, &wide, wide_budget));
-    let t8 = with_threads(8, || run(&astar, &wide, wide_budget));
+    let t1 = with_threads(1, || run(|| astar.solve(&wide, wide_budget)));
+    let t8 = with_threads(8, || run(|| astar.solve(&wide, wide_budget)));
     assert_eq!(t1.cost, t8.cost, "thread count changed the optimum");
     assert_eq!(
         t1.stats, t8.stats,
@@ -343,123 +336,9 @@ fn main() {
         inv = t1.stats == t8.stats,
     );
 
-    // --- Section 3: per-lever ablation on the 20-node mesh ---------------
-    let mesh20 = reconvergent_mesh20();
-    let mesh20_budget = min_feasible_budget(&mesh20);
-    // The PR-8 configuration every lever is measured against: forced-reload
-    // bound, twin-only symmetry, full expansion.
-    let pr8 = ExactSolver::default()
-        .with_heuristic(Heuristic::ForcedReload)
-        .with_wl_symmetry(false)
-        .with_partial_expansion(false);
-    let lever_configs: [(&str, &str, ExactSolver); 5] = [
-        ("base_pr8", "mesh20/base", pr8),
-        (
-            "landmark_pdb",
-            "mesh20/landmark_pdb",
-            pr8.with_heuristic(Heuristic::LandmarkPdb),
-        ),
-        ("wl_orbits", "mesh20/wl_orbits", pr8.with_wl_symmetry(true)),
-        (
-            "partial_expansion",
-            "mesh20/partial_expansion",
-            pr8.with_partial_expansion(true),
-        ),
-        ("all_levers", "mesh20/all", ExactSolver::default()),
-    ];
-    println!(
-        "\nper-lever ablation: 20-node reconvergent mesh, budget {mesh20_budget} \
-         (each PR-9 lever alone on the PR-8 base, then all)\n"
-    );
-    println!(
-        "{:<20} {:>10} {:>10} {:>12} {:>8}",
-        "config", "states", "open peak", "re-expands", "ms"
-    );
-    let mut lever_entries = String::new();
-    let mut lever_cost: Option<Weight> = None;
-    for (name, run_label, solver) in &lever_configs {
-        if telemetry_on {
-            telemetry::reset();
-        }
-        let r = run(solver, &mesh20, mesh20_budget);
-        if telemetry_on {
-            telemetry::flush_run(run_label);
-        }
-        assert!(!r.capped, "mesh20/{name} hit the state cap");
-        match lever_cost {
-            None => lever_cost = r.cost,
-            Some(c) => assert_eq!(r.cost, Some(c), "mesh20/{name} changed the optimum"),
-        }
-        push_record("mesh20", name, mesh20_budget, &r);
-        println!(
-            "{:<20} {:>10} {:>10} {:>12} {:>8.1}",
-            name, r.stats.expanded, r.stats.peak_open, r.stats.re_expanded, r.ms
-        );
-        if !lever_entries.is_empty() {
-            lever_entries.push_str(",\n");
-        }
-        lever_entries.push_str(&format!(
-            r#"    {{
-      "bench": "mesh20",
-      "config": "{name}",
-      "budget": {mesh20_budget},
-      "optimal_cost": {cost},
-      "states_expanded": {expanded},
-      "open_list_peak": {peak},
-      "re_expansions": {re},
-      "symmetry_pruned": {sym},
-      "ms": {ms:.1}
-    }}"#,
-            cost = r.cost.map_or_else(|| "null".into(), |c| c.to_string()),
-            expanded = r.stats.expanded,
-            peak = r.stats.peak_open,
-            re = r.stats.re_expanded,
-            sym = r.stats.symmetry_pruned,
-            ms = r.ms,
-        ));
-    }
-
-    // Hoist micro-bench: the per-state forced-reload evaluation (masked
-    // fold over precomputed per-node reload potentials) against the
-    // per-state reference DP it replaced, over a deterministic state sweep.
-    let hoist_bounds: pebblyn::core::StateBounds = pebblyn::core::StateBounds::new(&mesh20, 1, 1);
-    let node_mask: u64 = (1 << mesh20.len()) - 1;
-    let sweep: Vec<(u64, u64)> = (0..20_000u64)
-        .map(|i| {
-            let mut x = i.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-            x ^= x >> 29;
-            let red = x & node_mask;
-            x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-            x ^= x >> 32;
-            (red, x & node_mask)
-        })
-        .collect();
-    let t = Instant::now();
-    let mut hoisted_sum: Weight = 0;
-    for &(red, blue) in &sweep {
-        hoisted_sum += hoist_bounds.forced_reload(red, blue);
-    }
-    let hoisted_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let mut reference_sum: Weight = 0;
-    for &(red, blue) in &sweep {
-        reference_sum += hoist_bounds.forced_reload_reference(red, blue);
-    }
-    let reference_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        hoisted_sum, reference_sum,
-        "hoisted forced-reload disagrees with the reference DP"
-    );
-    let hoist_speedup = reference_ms / hoisted_ms.max(1e-9);
-    println!(
-        "\nhoisted forced-reload: {hoisted_ms:.1} ms vs reference DP {reference_ms:.1} ms \
-         over {} states ({hoist_speedup:.1}x)",
-        sweep.len()
-    );
-
     let json = format!(
         r#"{{
-  "description": "Exact-solver search benchmark. 'benchmarks': expanded states and wall time for the plain Dijkstra baseline (no heuristic, no dominance, raw four-move successors, no symmetry — the pre-A* solver) vs the bound-guided A* (landmark-pdb bound, dominance pruning, macro moves, WL-orbit symmetry reduction, partial expansion); all four cases dispatch to the u64 fast path (mask_words 1). 'wide_ablation': a 72-node diamond chain past the old 64-node u64 wall, solved on Words<2> masks with symmetry off/on and at 1 vs 8 worker threads (thread_invariant asserts identical stats). 'per_lever_ablation': the 20-node reconvergent mesh solved with each PR-9 lever (landmark-pdb bound tier, certified WL-orbit generators, partial expansion) enabled alone on the PR-8 base (forced-reload, twin-only symmetry, full expansion), then all together — states_expanded and open_list_peak per configuration. 'hoist_microbench': the hoisted forced-reload evaluation (masked fold over precomputed reload potentials) vs the per-state reference DP over a 20k-state sweep. States-expanded counts are deterministic; wall times are single-run same-host measurements and only the ratios are meaningful across machines. before_hit_state_cap means the baseline exceeded 5M expansions and its count is a lower bound.",
+  "description": "Exact-solver search benchmark. 'benchmarks': expanded states and wall time for the plain Dijkstra baseline (no heuristic, no dominance, raw four-move successors, no symmetry — the pre-A* solver) vs the bound-guided A* (landmark-pdb bound, dominance pruning, macro moves, WL-orbit symmetry reduction, partial expansion); all four cases dispatch to the u64 fast path (mask_words 1). 'wide_ablation': a 72-node diamond chain past the old 64-node u64 wall, solved on Words<2> masks with symmetry off (the A* reconstructing its schedule) and on, and at 1 vs 8 worker threads (thread_invariant asserts identical stats). States-expanded counts are deterministic; wall times are single-run same-host measurements and only the ratios are meaningful across machines. before_hit_state_cap means the baseline exceeded 5M expansions and its count is a lower bound.",
   "date": "2026-08-09",
   "host": "linux x86_64, 1 CPU",
   "command": "cargo run --release -p pebblyn-bench --bin bench_exact",
@@ -468,19 +347,9 @@ fn main() {
   ],
   "wide_ablation": [
 {ablation}
-  ],
-  "per_lever_ablation": [
-{lever_entries}
-  ],
-  "hoist_microbench": {{
-    "states_swept": {swept},
-    "hoisted_ms": {hoisted_ms:.1},
-    "reference_ms": {reference_ms:.1},
-    "speedup": {hoist_speedup:.1}
-  }}
+  ]
 }}
-"#,
-        swept = sweep.len(),
+"#
     );
     let path = results_dir().join("bench_exact.json");
     std::fs::write(&path, json).expect("write bench_exact.json");

@@ -166,49 +166,6 @@ pub fn reconvergent_mesh16() -> Cdag {
     b.build().expect("mesh is a connected DAG")
 }
 
-/// A 20-node symmetric reconvergent mesh: two sources feeding four
-/// isomorphic 4-node arms that reconverge on a two-node sink chain.  The
-/// root source feeds every arm's head; the crossing source feeds every
-/// arm's head *and* tail.  This is the per-lever ablation instance for
-/// the 24-node certification push, and each lever has a distinct
-/// structure to bite on: the arms are WL-equivalent but *not* exact
-/// twins (their pred/succ sets differ node-by-node), so only certified
-/// WL-orbit generators collapse the 4!-fold arm symmetry; the crossing
-/// source is consumed both before and after every mid-arm pivot and is
-/// too heavy to stay resident at the minimum feasible budget (the arm
-/// tail is lighter than the mid nodes, so the budget's slack at the
-/// pivot moment stays below the crossing weight), so the landmark tier
-/// charges its forced reload; and the reload-heavy frontier is what the
-/// `OpenListPeak` gauge (and partial expansion's reduction of it) is
-/// measured on.
-pub fn reconvergent_mesh20() -> Cdag {
-    let mut b = CdagBuilder::with_capacity(20);
-    let root = b.node(2, "r");
-    let crossing = b.node(4, "c");
-    let arm_w: [Weight; 4] = [2, 4, 4, 1];
-    let mut tails = Vec::new();
-    for arm in 0..4 {
-        let head = b.node(arm_w[0], format!("a{arm}_0"));
-        b.edge(root, head);
-        b.edge(crossing, head);
-        let mut prev = head;
-        for (pos, &w) in arm_w.iter().enumerate().skip(1) {
-            let v = b.node(w, format!("a{arm}_{pos}"));
-            b.edge(prev, v);
-            prev = v;
-        }
-        b.edge(crossing, prev); // the crossing operand returns at the tail
-        tails.push(prev);
-    }
-    let join = b.node(2, "s0");
-    for t in tails {
-        b.edge(t, join);
-    }
-    let sink = b.node(1, "s1");
-    b.edge(join, sink);
-    b.build().expect("mesh is a connected DAG")
-}
-
 /// A chain of `k` unit-weight diamonds `a→{b,c}→d`, each diamond's exit
 /// feeding the next diamond's entry: `4k` nodes total.  Every diamond's
 /// midpoints are a twin orbit (identical predecessor and successor sets),

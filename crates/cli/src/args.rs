@@ -2,7 +2,9 @@
 //!
 //! Workload parameters parse straight into the shared
 //! [`Workload`] record from `pebblyn-graphs`; every parse failure is a
-//! [`CliError::Usage`] (exit code 2, usage text printed).
+//! [`CliError::Usage`] (exit code 2, usage text printed).  [`USAGE`] is
+//! the one list of options: any `--option` it does not document is a
+//! usage error.
 
 use crate::error::CliError;
 use pebblyn::prelude::*;
@@ -64,14 +66,6 @@ SERVE OPTIONS:
   --no-cache               disable the canonicalizing schedule cache
 
 EXACT OPTIONS:
-  --heuristic none|remaining-work|forced-reload|landmark-pdb
-                           A* guiding lower bound [default landmark-pdb]
-  --no-dominance           disable dominance pruning
-  --no-tighten             search the raw four-move game (no macro moves)
-  --no-symmetry            disable symmetry reduction (twin + WL orbits)
-  --wl-symmetry on|off     WL-orbit lever on top of twin symmetry
-                           [default on; conflicts with --no-symmetry]
-  --no-partial-expansion   materialize every successor (no PEA* deferral)
   --max-states <N>         expanded-state cap [default 5000000]
 
 OTHER OPTIONS:
@@ -189,12 +183,6 @@ pub enum Command {
         workload: Workload,
         scheme: WeightScheme,
         budget: Weight,
-        heuristic: Heuristic,
-        dominance: bool,
-        tighten: bool,
-        symmetry: bool,
-        wl_symmetry: bool,
-        partial_expansion: bool,
         max_states: usize,
     },
     /// Synthesize an SRAM macro.
@@ -271,7 +259,30 @@ struct Opts<'a> {
     argv: &'a [String],
 }
 
+/// Whether [`USAGE`] documents the option `arg` (a `--name` token).
+fn known_option(arg: &str) -> bool {
+    arg.starts_with("--")
+        && USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|token| token == arg)
+}
+
 impl<'a> Opts<'a> {
+    /// Reject the first `--option` that [`USAGE`] does not document, so a
+    /// typo or a retired flag is a usage error rather than silently
+    /// ignored.  A documented option that does not apply to the command
+    /// stays ignored (see the `procs` closure in [`parse`]).
+    fn reject_unknown(&self) -> Result<(), CliError> {
+        match self
+            .argv
+            .iter()
+            .find(|a| a.starts_with("--") && !known_option(a))
+        {
+            Some(a) => Err(usage(format!("unknown option {a}"))),
+            None => Ok(()),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
         self.argv
             .iter()
@@ -305,6 +316,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         .ok_or_else(|| usage("missing command"))?
         .as_str();
     let opts = Opts { argv: &argv[1..] };
+    opts.reject_unknown()?;
 
     let word: u64 = opts.parse_num("--word", 16)?;
     if word == 0 {
@@ -493,42 +505,12 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 comm_price: opts.parse_num("--comm-price", DEFAULT_COMM_PRICE)?,
             })
         }
-        "exact" => {
-            let w = workload()?;
-            let heuristic = match opts.get("--heuristic") {
-                None => Heuristic::default(),
-                Some(s) => Heuristic::parse(s).ok_or_else(|| {
-                    usage(format!(
-                        "unknown --heuristic {s} (none|remaining-work|forced-reload|landmark-pdb)"
-                    ))
-                })?,
-            };
-            let symmetry = !opts.flag("--no-symmetry");
-            let wl_symmetry = match opts.get("--wl-symmetry") {
-                None => symmetry,
-                Some("on") if !symmetry => {
-                    return Err(usage(
-                        "--wl-symmetry on conflicts with --no-symmetry (the WL lever \
-                         extends twin symmetry; it cannot run without it)",
-                    ))
-                }
-                Some("on") => true,
-                Some("off") => false,
-                Some(s) => return Err(usage(format!("unknown --wl-symmetry {s} (on|off)"))),
-            };
-            Ok(Command::Exact {
-                workload: w,
-                scheme,
-                budget: budget()?,
-                heuristic,
-                dominance: !opts.flag("--no-dominance"),
-                tighten: !opts.flag("--no-tighten"),
-                symmetry,
-                wl_symmetry,
-                partial_expansion: !opts.flag("--no-partial-expansion"),
-                max_states: opts.parse_num("--max-states", 5_000_000)?,
-            })
-        }
+        "exact" => Ok(Command::Exact {
+            workload: workload()?,
+            scheme,
+            budget: budget()?,
+            max_states: opts.parse_num("--max-states", 5_000_000)?,
+        }),
         "synth" => Ok(Command::Synth {
             bits: opts
                 .get("--bits")
@@ -815,6 +797,30 @@ mod tests {
         assert!(parse(&argv("schedule --workload fft --budget 10w")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn only_options_usage_documents_are_accepted() {
+        for known in ["--workload", "--n", "--cols", "--max-states", "--telemetry"] {
+            assert!(known_option(known), "{known}");
+        }
+        for unknown in [
+            "--max-state",
+            "--heuristic",
+            "--no-symmetry",
+            "--",
+            "workload",
+        ] {
+            assert!(!known_option(unknown), "{unknown}");
+        }
+        let err = parse(&argv(
+            "exact --workload dwt --n 4 --budget 112 --bogus-flag",
+        ))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert_eq!(err.to_string(), "unknown option --bogus-flag");
+        // Documented but inapplicable: ignored, as before.
+        assert!(parse(&argv("exact --workload dwt --n 4 --budget 112 --points 5")).is_ok());
     }
 
     #[test]

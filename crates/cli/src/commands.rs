@@ -390,33 +390,15 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             workload,
             scheme,
             budget,
-            heuristic,
-            dominance,
-            tighten,
-            symmetry,
-            wl_symmetry,
-            partial_expansion,
             max_states,
         } => {
             let g = AnyGraph::build(workload, scheme)?;
             let cdag = g.cdag();
-            let solver = ExactSolver::with_max_states(max_states)
-                .with_heuristic(heuristic)
-                .with_dominance(dominance)
-                .with_tighten(tighten)
-                .with_symmetry(symmetry)
-                .with_wl_symmetry(wl_symmetry)
-                .with_partial_expansion(partial_expansion);
+            let solver = ExactSolver::with_max_states(max_states);
             println!("{} under {scheme}, budget {budget} bits", g.name());
             println!(
-                "solver:      A* · heuristic {} · dominance {} · macro moves {} · symmetry {} \
-                 · wl orbits {} · partial expansion {}",
-                heuristic.name(),
-                if dominance { "on" } else { "off" },
-                if tighten { "on" } else { "off" },
-                if symmetry { "on" } else { "off" },
-                if symmetry && wl_symmetry { "on" } else { "off" },
-                if partial_expansion { "on" } else { "off" },
+                "solver:      A* · landmark-pdb bound · dominance · macro moves · twin + WL \
+                 symmetry · partial expansion"
             );
             let sol = solver.solve(cdag, budget)?;
             let st = sol.stats;

@@ -463,35 +463,9 @@ fn exact_solves_small_dwt_optimally() {
     assert!(stdout.contains("optimum:     256 bits"), "{stdout}");
     assert!(stdout.contains("expanded:"), "{stdout}");
     assert!(stdout.contains("re-expansions"), "{stdout}");
-    assert!(stdout.contains("heuristic landmark-pdb"), "{stdout}");
-    assert!(stdout.contains("wl orbits on"), "{stdout}");
-    assert!(stdout.contains("partial expansion on"), "{stdout}");
-}
-
-#[test]
-fn exact_ablation_flags_change_the_report_not_the_optimum() {
-    // A smaller instance than the default-path test: the fully ablated
-    // solver is the unpruned Dijkstra and blows the state cap on graphs
-    // the guided search dispatches instantly.
-    let base = &[
-        "exact",
-        "--workload",
-        "dwt",
-        "--n",
-        "4",
-        "--d",
-        "2",
-        "--budget",
-        "112",
-    ];
-    let mut ablated: Vec<&str> = base.to_vec();
-    ablated.extend(["--heuristic", "none", "--no-dominance", "--no-tighten"]);
-    let (ok, stdout, _) = pebblyn(&ablated);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("optimum:     128 bits"), "{stdout}");
-    assert!(stdout.contains("heuristic none"), "{stdout}");
-    assert!(stdout.contains("dominance off"), "{stdout}");
-    assert!(stdout.contains("macro moves off"), "{stdout}");
+    assert!(stdout.contains("landmark-pdb bound"), "{stdout}");
+    assert!(stdout.contains("WL symmetry"), "{stdout}");
+    assert!(stdout.contains("partial expansion"), "{stdout}");
 }
 
 #[test]
@@ -517,108 +491,106 @@ fn exact_rejects_too_wide_graphs_with_exit_1_naming_the_limit() {
     assert!(!stderr.contains("USAGE"), "{stderr}");
 }
 
+/// A small exact invocation the option tests extend.
+const EXACT_DWT4: [&str; 9] = [
+    "exact",
+    "--workload",
+    "dwt",
+    "--n",
+    "4",
+    "--d",
+    "2",
+    "--budget",
+    "112",
+];
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    // A typo must not fall back to a default: `--max-state 1` would
+    // otherwise run a full solve instead of hitting the cap.
+    for extra in [&["--bogus-flag"][..], &["--max-state", "1"]] {
+        let mut argv = EXACT_DWT4.to_vec();
+        argv.extend(extra);
+        let (code, stderr) = pebblyn_code(&argv);
+        assert_eq!(code, Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {}", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{extra:?}: {stderr}");
+    }
+}
+
+/// The exact solver runs one configuration, so its former ablation flags
+/// are unknown options: each `extra` must exit 2 naming its first option
+/// and printing the usage text, while the bare invocation keeps its
+/// optimum.
+fn assert_retired_exact_flags(extras: &[&[&str]]) {
+    for extra in extras {
+        let mut argv = EXACT_DWT4.to_vec();
+        argv.extend(*extra);
+        let (code, stderr) = pebblyn_code(&argv);
+        assert_eq!(code, Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {}", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{extra:?}: {stderr}");
+    }
+    let (ok, stdout, stderr) = pebblyn(&EXACT_DWT4);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("optimum:     128 bits"), "{stdout}");
+}
+
+#[test]
+fn exact_ablation_flags_change_the_report_not_the_optimum() {
+    assert_retired_exact_flags(&[
+        &["--heuristic", "none"],
+        &["--no-dominance"],
+        &["--no-tighten"],
+        &["--heuristic", "none", "--no-dominance", "--no-tighten"],
+    ]);
+}
+
 #[test]
 fn exact_no_symmetry_flag_reports_but_keeps_the_optimum() {
-    let base = [
-        "exact",
-        "--workload",
-        "dwt",
-        "--n",
-        "8",
-        "--d",
-        "3",
-        "--budget",
-        "200",
-    ];
-    let mut off: Vec<&str> = base.to_vec();
-    off.push("--no-symmetry");
-    let (ok, stdout, _) = pebblyn(&off);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("symmetry off"), "{stdout}");
-    // --no-symmetry also suspends the WL lever (it rides on twin symmetry).
-    assert!(stdout.contains("wl orbits off"), "{stdout}");
-    assert!(stdout.contains("optimum:     256 bits"), "{stdout}");
+    assert_retired_exact_flags(&[&["--no-symmetry"]]);
 }
 
 #[test]
 fn exact_new_lever_ablations_keep_the_optimum() {
-    let base = [
-        "exact",
-        "--workload",
-        "dwt",
-        "--n",
-        "8",
-        "--d",
-        "3",
-        "--budget",
-        "200",
-    ];
-    for (extra, banner) in [
-        (
-            vec!["--no-partial-expansion"],
-            vec!["partial expansion off"],
-        ),
-        (vec!["--wl-symmetry", "off"], vec!["wl orbits off"]),
-        (
-            vec!["--heuristic", "forced-reload"],
-            vec!["heuristic forced-reload"],
-        ),
-        (
-            vec!["--heuristic", "landmark-pdb", "--no-partial-expansion"],
-            vec!["heuristic landmark-pdb", "partial expansion off"],
-        ),
-    ] {
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(&extra);
-        let (ok, stdout, _) = pebblyn(&argv);
-        assert!(ok, "{extra:?}: {stdout}");
-        assert!(
-            stdout.contains("optimum:     256 bits"),
-            "{extra:?}: {stdout}"
-        );
-        for b in banner {
-            assert!(stdout.contains(b), "{extra:?}: {stdout}");
-        }
-    }
+    assert_retired_exact_flags(&[
+        &["--no-partial-expansion"],
+        &["--wl-symmetry", "off"],
+        &["--heuristic", "forced-reload"],
+        &["--heuristic", "landmark-pdb", "--no-partial-expansion"],
+    ]);
 }
 
 #[test]
 fn exact_wl_symmetry_conflicts_are_usage_errors() {
-    let base = [
-        "exact",
-        "--workload",
-        "dwt",
-        "--n",
-        "8",
-        "--d",
-        "3",
-        "--budget",
-        "200",
-    ];
-    // Asking for the WL lever while turning symmetry off is contradictory.
-    let mut conflict: Vec<&str> = base.to_vec();
-    conflict.extend(["--wl-symmetry", "on", "--no-symmetry"]);
-    let (code, stderr) = pebblyn_code(&conflict);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("--wl-symmetry on conflicts"), "{stderr}");
-    // A bogus value is a usage error too.
-    let mut bad: Vec<&str> = base.to_vec();
-    bad.extend(["--wl-symmetry", "maybe"]);
-    let (code, stderr) = pebblyn_code(&bad);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown --wl-symmetry"), "{stderr}");
-    // Explicitly off together with --no-symmetry is redundant but coherent.
-    let mut off: Vec<&str> = base.to_vec();
-    off.extend(["--wl-symmetry", "off", "--no-symmetry"]);
-    let (ok, stdout, _) = pebblyn(&off);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("optimum:     256 bits"), "{stdout}");
+    // The former conflict and bad-value cases fail on the first retired
+    // option now, before any value is read.
+    assert_retired_exact_flags(&[
+        &["--wl-symmetry", "on", "--no-symmetry"],
+        &["--wl-symmetry", "maybe"],
+        &["--no-symmetry", "--wl-symmetry", "off"],
+    ]);
+}
+
+#[test]
+fn known_options_that_do_not_apply_are_ignored() {
+    let mut argv = EXACT_DWT4.to_vec();
+    argv.extend(["--points", "5"]);
+    let (ok, stdout, stderr) = pebblyn(&argv);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("optimum:     128 bits"), "{stdout}");
 }
 
 #[test]
 fn exact_bad_flags_are_usage_errors() {
-    // Matching the PR-1 convention: malformed invocations exit 2 with the
-    // usage text; well-formed ones that fail at run time exit 1 without it.
+    // Malformed invocations exit 2 with the usage text; well-formed ones
+    // that fail at run time exit 1 without it.
     let bad: [&[&str]; 3] = [
         &[
             "exact",
@@ -630,8 +602,8 @@ fn exact_bad_flags_are_usage_errors() {
             "3",
             "--budget",
             "200",
-            "--heuristic",
-            "astar",
+            "--max-states",
+            "-1",
         ],
         &["exact", "--workload", "dwt", "--n", "8", "--d", "3"], // missing --budget
         &[

@@ -10,7 +10,6 @@
 //! `2` usage error.
 
 use pebblyn_conformance::{mutation_smoke, run, run_multi, run_streaming, Config, DEFAULT_PROCS};
-use pebblyn_core::Heuristic;
 use pebblyn_telemetry as telemetry;
 use std::process::ExitCode;
 
@@ -38,16 +37,6 @@ OPTIONS:
   --procs <LIST>      comma-separated processor counts for --multi
                       (default 1,2,4)
   --max-states <N>    exact-solver state cap per probe (default 2000000)
-  --heuristic <H>     exact A* lower bound: none | remaining-work |
-                      forced-reload | landmark-pdb (default landmark-pdb)
-  --no-dominance      disable the exact solver's dominance pruning
-  --no-symmetry       disable the exact solver's symmetry reduction
-                      (twin + WL orbits)
-  --wl-symmetry <V>   on | off: the WL-orbit lever on top of twin
-                      symmetry (default on; on conflicts with
-                      --no-symmetry)
-  --no-partial-expansion
-                      materialize every successor (disable PEA*)
   --failure-out <F>   also write failing shrunk cases to this file
   --telemetry <F>     record run counters to this JSONL file (schema
                       pebblyn-telemetry/v1) and cross-check the report's
@@ -63,11 +52,6 @@ struct Args {
     multi: bool,
     procs: Vec<usize>,
     max_states: usize,
-    heuristic: Heuristic,
-    dominance: bool,
-    symmetry: bool,
-    wl_symmetry: Option<bool>,
-    partial_expansion: bool,
     failure_out: Option<String>,
     telemetry: Option<String>,
 }
@@ -81,11 +65,6 @@ fn parse_args() -> Result<Args, String> {
         multi: false,
         procs: DEFAULT_PROCS.to_vec(),
         max_states: 2_000_000,
-        heuristic: Heuristic::default(),
-        dominance: true,
-        symmetry: true,
-        wl_symmetry: None,
-        partial_expansion: true,
         failure_out: None,
         telemetry: None,
     };
@@ -110,25 +89,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --max-states: {e}"))?;
             }
-            "--heuristic" => {
-                let v = value("--heuristic")?;
-                args.heuristic = Heuristic::parse(&v).ok_or_else(|| {
-                    format!(
-                        "bad --heuristic: {v:?} (expected none | remaining-work | \
-                         forced-reload | landmark-pdb)"
-                    )
-                })?;
-            }
-            "--no-dominance" => args.dominance = false,
-            "--no-symmetry" => args.symmetry = false,
-            "--wl-symmetry" => {
-                args.wl_symmetry = Some(match value("--wl-symmetry")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad --wl-symmetry: {other:?} (on|off)")),
-                });
-            }
-            "--no-partial-expansion" => args.partial_expansion = false,
             "--failure-out" => args.failure_out = Some(value("--failure-out")?),
             "--telemetry" => args.telemetry = Some(value("--telemetry")?),
             "--mutation-smoke" => args.mutation_smoke = true,
@@ -171,14 +131,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.wl_symmetry == Some(true) && !args.symmetry {
-        eprintln!(
-            "error: --wl-symmetry on conflicts with --no-symmetry \
-             (the WL lever extends twin symmetry)\n"
-        );
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
     let mut cfg = Config {
         seed: args.seed,
         cases: args
@@ -186,14 +138,7 @@ fn main() -> ExitCode {
             .unwrap_or(if args.mutation_smoke { 64 } else { 1000 }),
         ..Config::default()
     };
-    cfg.oracle = cfg
-        .oracle
-        .with_max_states(args.max_states)
-        .with_heuristic(args.heuristic)
-        .with_dominance(args.dominance)
-        .with_symmetry(args.symmetry)
-        .with_wl_symmetry(args.wl_symmetry.unwrap_or(args.symmetry))
-        .with_partial_expansion(args.partial_expansion);
+    cfg.oracle = cfg.oracle.with_max_states(args.max_states);
 
     if let Some(path) = &args.telemetry {
         telemetry::enable();
@@ -228,31 +173,10 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "conformance: seed {} · {} cases · exact state cap {} · heuristic {}{}{}{}{}",
+        "conformance: seed {} · {} cases · exact state cap {}",
         cfg.seed,
         cfg.cases,
-        cfg.oracle.max_states(),
-        cfg.oracle.heuristic().name(),
-        if cfg.oracle.dominance() {
-            ""
-        } else {
-            " · dominance off"
-        },
-        if cfg.oracle.symmetry() {
-            ""
-        } else {
-            " · symmetry off"
-        },
-        if cfg.oracle.symmetry() && cfg.oracle.wl_symmetry() {
-            ""
-        } else {
-            " · wl orbits off"
-        },
-        if cfg.oracle.partial_expansion() {
-            ""
-        } else {
-            " · partial expansion off"
-        }
+        cfg.oracle.max_states()
     );
     let report = run(&cfg);
     println!(

@@ -27,8 +27,7 @@
 
 use crate::gen::TestCase;
 use pebblyn_core::{
-    algorithmic_lower_bound, min_feasible_budget, occupancy_trace, validate_moves, Cdag, Heuristic,
-    Weight,
+    algorithmic_lower_bound, min_feasible_budget, occupancy_trace, validate_moves, Cdag, Weight,
 };
 use pebblyn_exact::ExactSolver;
 use pebblyn_graphs::AnyGraph;
@@ -68,16 +67,6 @@ pub struct OracleConfig {
     /// Exact-solver expanded-state cap; budgets whose search exceeds it are
     /// downgraded to invariant-only (counted in `exact_skipped`).
     max_states: usize,
-    /// Lower bound guiding the exact A\* (for pruning ablations).
-    heuristic: Heuristic,
-    /// Enable the exact solver's dominance pruning (for ablations).
-    dominance: bool,
-    /// Enable twin-orbit symmetry reduction (for ablations).
-    symmetry: bool,
-    /// Enable the WL-orbit lever on top of twin symmetry (for ablations).
-    wl_symmetry: bool,
-    /// Enable partial expansion — PEA* deferral (for ablations).
-    partial_expansion: bool,
     /// Cross-check every schedule on the executable machine with real
     /// values (validates outputs against a reference evaluation).
     machine_replay: bool,
@@ -91,11 +80,6 @@ impl Default for OracleConfig {
         OracleConfig {
             exhaustive_max_nodes: crate::gen::EXHAUSTIVE.max_nodes,
             max_states: 2_000_000,
-            heuristic: Heuristic::default(),
-            dominance: true,
-            symmetry: true,
-            wl_symmetry: true,
-            partial_expansion: true,
             machine_replay: true,
             metamorphic: true,
         }
@@ -103,14 +87,10 @@ impl Default for OracleConfig {
 }
 
 impl OracleConfig {
-    /// The exact solver this configuration asks for.
+    /// The exact solver this configuration asks for: the default A\* under
+    /// the configured state cap.
     pub fn solver(&self) -> ExactSolver {
         ExactSolver::with_max_states(self.max_states)
-            .with_heuristic(self.heuristic)
-            .with_dominance(self.dominance)
-            .with_symmetry(self.symmetry)
-            .with_wl_symmetry(self.wl_symmetry)
-            .with_partial_expansion(self.partial_expansion)
     }
 
     /// Only run the exact solver on graphs with at most `n` nodes.
@@ -122,36 +102,6 @@ impl OracleConfig {
     /// Cap the exact solver at `n` expanded states per probe.
     pub fn with_max_states(mut self, n: usize) -> Self {
         self.max_states = n;
-        self
-    }
-
-    /// Pick the lower bound guiding the exact A\*.
-    pub fn with_heuristic(mut self, h: Heuristic) -> Self {
-        self.heuristic = h;
-        self
-    }
-
-    /// Enable or disable the exact solver's dominance pruning.
-    pub fn with_dominance(mut self, on: bool) -> Self {
-        self.dominance = on;
-        self
-    }
-
-    /// Enable or disable twin-orbit symmetry reduction.
-    pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Enable or disable the WL-orbit lever (inert without `symmetry`).
-    pub fn with_wl_symmetry(mut self, on: bool) -> Self {
-        self.wl_symmetry = on;
-        self
-    }
-
-    /// Enable or disable partial expansion (PEA*).
-    pub fn with_partial_expansion(mut self, on: bool) -> Self {
-        self.partial_expansion = on;
         self
     }
 
@@ -170,31 +120,6 @@ impl OracleConfig {
     /// The configured expanded-state cap.
     pub fn max_states(&self) -> usize {
         self.max_states
-    }
-
-    /// The configured A\* heuristic.
-    pub fn heuristic(&self) -> Heuristic {
-        self.heuristic
-    }
-
-    /// Whether dominance pruning is enabled.
-    pub fn dominance(&self) -> bool {
-        self.dominance
-    }
-
-    /// Whether twin-orbit symmetry reduction is enabled.
-    pub fn symmetry(&self) -> bool {
-        self.symmetry
-    }
-
-    /// Whether the WL-orbit lever is enabled.
-    pub fn wl_symmetry(&self) -> bool {
-        self.wl_symmetry
-    }
-
-    /// Whether partial expansion is enabled.
-    pub fn partial_expansion(&self) -> bool {
-        self.partial_expansion
     }
 
     /// The configured exhaustive-regime node ceiling.

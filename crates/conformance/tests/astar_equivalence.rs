@@ -5,11 +5,11 @@
 //! unpruned baseline stays cheap) and compares them across the full
 //! feasibility-aware budget sweep.
 //!
-//! This is the end-to-end safety net for all four pruning levers at once:
+//! This is the end-to-end safety net for everything the A\* prunes with:
 //! an inadmissible bound, an unsound dominance rule, an incomplete
-//! macro-move relation, or an unsound twin-orbit canonicalization would
-//! each surface here as a cost mismatch (too high) or a phantom
-//! infeasibility (`Some` vs `None`).
+//! macro-move relation, an unsound orbit canonicalization, or a partial
+//! expansion that loses a successor would each surface here as a cost
+//! mismatch (too high) or a phantom infeasibility (`Some` vs `None`).
 
 use pebblyn_conformance::{generate, oracle::budget_probes};
 use pebblyn_exact::ExactSolver;
@@ -39,48 +39,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn pruning_levers_are_independent(seed in 0u64..512, index in 0u64..128) {
-        // Each lever alone must also preserve the optimum (ablation grid):
-        // heuristic tier × symmetry mode × partial expansion, single-axis
-        // ablations plus the pairwise combinations of the new levers.
-        use pebblyn_core::Heuristic;
-        let case = generate(seed, index);
-        let g = &case.graph;
-        prop_assume!(g.len() <= 8);
-
-        let reference = ExactSolver::dijkstra_baseline();
-        let variants = [
-            ExactSolver::default().with_dominance(false),
-            ExactSolver::default().with_tighten(false),
-            ExactSolver::default().with_symmetry(false),
-            ExactSolver::default().with_heuristic(Heuristic::RemainingWork),
-            ExactSolver::default().with_heuristic(Heuristic::ForcedReload),
-            // New levers, each alone off (everything else at defaults)…
-            ExactSolver::default().with_wl_symmetry(false),
-            ExactSolver::default().with_partial_expansion(false),
-            // …and crossed with the heuristic tiers.
-            ExactSolver::default()
-                .with_heuristic(Heuristic::ForcedReload)
-                .with_partial_expansion(false),
-            ExactSolver::default()
-                .with_heuristic(Heuristic::RemainingWork)
-                .with_wl_symmetry(false)
-                .with_partial_expansion(false),
-            ExactSolver::default()
-                .with_symmetry(false)
-                .with_partial_expansion(false),
-        ];
-        for b in budget_probes(g) {
-            let want = reference.min_cost(g, b).unwrap();
-            for (vi, v) in variants.iter().enumerate() {
-                let got = v.min_cost(g, b).unwrap();
-                prop_assert_eq!(
-                    got, want,
-                    "{}: variant {} disagrees at budget {}",
-                    case.label(), vi, b
-                );
-            }
-        }
-    }
 }

@@ -12,9 +12,11 @@
 //! meshes, up to the 40-node INVARIANT ceiling — all of which fit every
 //! width under test).
 //!
-//! Separately, twin-orbit symmetry reduction may only ever change *how
-//! much* the solver explores, never what it concludes: costs (including
-//! infeasibility verdicts) must match with the lever on and off.
+//! Separately, symmetry reduction may only ever change *how much* the
+//! solver explores, never what it concludes: costs (including
+//! infeasibility verdicts) must match with it on (`solve`) and off
+//! (`solve_with_schedule`, which suspends it to keep parent pointers
+//! concrete).
 
 use pebblyn_conformance::{generate, oracle::budget_probes};
 use pebblyn_exact::{ExactSolver, Words};
@@ -85,11 +87,10 @@ proptest! {
         let g = &case.graph;
         prop_assume!(g.len() <= 10);
 
-        let on = ExactSolver::default();
-        let off = ExactSolver::default().with_symmetry(false);
+        let solver = ExactSolver::default();
         for b in budget_probes(g) {
-            let with = on.solve(g, b).expect("within cap");
-            let without = off.solve(g, b).expect("within cap");
+            let with = solver.solve(g, b).expect("within cap");
+            let without = solver.solve_with_schedule(g, b).expect("within cap");
             prop_assert_eq!(
                 with.cost, without.cost,
                 "{}: symmetry reduction changed the optimum at budget {}",

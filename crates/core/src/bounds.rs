@@ -1,18 +1,18 @@
 //! Model-level bounds: schedule existence (Prop. 2.3), the algorithmic
-//! lower bound (Prop. 2.4), and per-state admissible lower bounds for
-//! best-first search ([`StateBounds`]).
+//! lower bound (Prop. 2.4), and the per-state admissible lower bound that
+//! guides best-first search ([`StateBounds`]).
 //!
-//! The per-state bounds generalize Prop. 2.4 from the initial position to an
-//! arbitrary mid-game snapshot `(red, blue)`: the *remaining-work* bound
-//! restricts the loads/stores it counts to not-yet-blue sinks and
-//! never-loaded sources that provably still have to move, the
-//! *forced-reload* bound additionally charges for the cheapest chain of
-//! loads that can restore an evicted-but-still-needed value, and the
-//! *landmark-pdb* tier strengthens forced-reload further with cut-based
-//! landmark reload charges and an abstraction pattern database (see
-//! [`StateBounds::with_budget`]).  All are admissible (never exceed the true
-//! remaining optimal cost), which is what lets the exact solver run A\*
-//! instead of uniform-cost Dijkstra.
+//! The per-state bound generalizes Prop. 2.4 from the initial position to an
+//! arbitrary mid-game snapshot `(red, blue)`: it counts the stores every
+//! not-yet-blue sink still owes and the loads every never-loaded source that
+//! must become red still owes, charges the cheapest chain of loads that can
+//! restore an evicted-but-still-needed value (*forced reload*), adds the
+//! reloads a budget-cut *landmark* provably forces, and takes the larger of
+//! that and an abstraction *pattern database* (see [`StateBounds::new`]).
+//! It is admissible (never exceeds the true remaining optimal cost), which
+//! is what lets the exact solver run A\* instead of uniform-cost Dijkstra.
+//! Every term saturates at `Weight::MAX` instead of wrapping, so the bound
+//! stays admissible when weights times I/O scales approach the top of `u64`.
 
 use crate::graph::{Cdag, NodeId, Weight};
 use crate::mask::{mask_iter, mask_weight, StateMask};
@@ -57,54 +57,6 @@ pub fn min_feasible_budget(graph: &Cdag) -> Weight {
 /// `b` iff `w_v + Σ_{p ∈ H(v)} w_p ≤ b` for all non-source nodes `v`.
 pub fn schedule_exists(graph: &Cdag, budget: Weight) -> bool {
     budget >= min_feasible_budget(graph)
-}
-
-/// Which admissible per-state lower bound a best-first search applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Heuristic {
-    /// `h ≡ 0`: best-first search degenerates to uniform-cost Dijkstra.
-    None,
-    /// Prop. 2.4 restricted to the not-yet-done endpoints: every not-yet-blue
-    /// sink still costs one store, and every never-loaded source that must
-    /// become red still costs one load.
-    RemainingWork,
-    /// [`Heuristic::RemainingWork`] strengthened with a forced-reload chain
-    /// bound: when a needed interior value has been evicted, the cheapest way
-    /// back to red is a chain of loads, and the best such chain is still a
-    /// valid lower bound.
-    ForcedReload,
-    /// [`Heuristic::ForcedReload`] strengthened twice over, and the default:
-    /// budget-cut *landmarks* charge the reloads a tight pivot provably
-    /// forces, and a small abstraction *pattern database* prices the moves a
-    /// chosen node subset still owes exactly.  Needs the budget at
-    /// construction ([`StateBounds::with_budget`]); a [`StateBounds::new`]
-    /// context evaluates this tier as plain forced-reload.
-    #[default]
-    LandmarkPdb,
-}
-
-impl Heuristic {
-    /// Stable CLI names, matching
-    /// `--heuristic {none,remaining-work,forced-reload,landmark-pdb}`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Heuristic::None => "none",
-            Heuristic::RemainingWork => "remaining-work",
-            Heuristic::ForcedReload => "forced-reload",
-            Heuristic::LandmarkPdb => "landmark-pdb",
-        }
-    }
-
-    /// Parse a CLI name; inverse of [`Heuristic::name`].
-    pub fn parse(s: &str) -> Option<Heuristic> {
-        match s {
-            "none" => Some(Heuristic::None),
-            "remaining-work" => Some(Heuristic::RemainingWork),
-            "forced-reload" => Some(Heuristic::ForcedReload),
-            "landmark-pdb" => Some(Heuristic::LandmarkPdb),
-            _ => None,
-        }
-    }
 }
 
 /// Fold a node list into a mask of any [`StateMask`] width.
@@ -186,27 +138,29 @@ pub struct StateBounds<M: StateMask = u64> {
     sink_mask: M,
     load_scale: Weight,
     store_scale: Weight,
-    /// Budget-cut landmarks; empty unless built by
-    /// [`StateBounds::with_budget`].
+    /// Budget-cut landmarks.
     landmarks: Vec<Landmark<M>>,
-    /// Pattern database; `None` unless built by [`StateBounds::with_budget`].
+    /// Pattern database; `None` when the pattern would have under 2 nodes.
     pdb: Option<Pdb<M>>,
 }
 
 impl<M: StateMask> StateBounds<M> {
-    /// Build the bound context for `graph` with per-bit I/O costs
-    /// (`load_scale` per loaded bit, `store_scale` per stored bit).
+    /// Build the bound context for `graph` searched under `budget`, with
+    /// per-bit I/O costs (`load_scale` per loaded bit, `store_scale` per
+    /// stored bit).
     ///
-    /// The budget-dependent [`Heuristic::LandmarkPdb`] extras are *not*
-    /// built — that tier evaluates as [`Heuristic::ForcedReload`] on this
-    /// context.  Use [`StateBounds::with_budget`] when the search budget is
-    /// known.
+    /// Besides the per-node tables this builds the budget-dependent terms:
+    /// budget-cut landmarks (retained by their root-state charge, at most
+    /// [`LANDMARK_CAP`]) and the abstraction pattern database (reverse
+    /// Dijkstra over at most `4^PDB_CAP` abstract states).  Construction is
+    /// deterministic — ties break on node index — and happens once per
+    /// instance.
     ///
     /// # Panics
     ///
     /// Panics when the graph has more nodes than `M` has bits (the
     /// packed-mask limit of the chosen width).
-    pub fn new(graph: &Cdag, load_scale: Weight, store_scale: Weight) -> Self {
+    pub fn new(graph: &Cdag, load_scale: Weight, store_scale: Weight, budget: Weight) -> Self {
         let n = graph.len();
         assert!(
             n <= M::BITS,
@@ -222,7 +176,6 @@ impl<M: StateMask> StateBounds<M> {
             .collect();
         let topo = graph.topo_order().to_vec();
         let source_mask: M = nodes_to_mask(graph.sources());
-        let load_scale_ = load_scale;
 
         // Ancestor cones and the all-empty-state DP values, both in one
         // topological pass: anc(v) = {v} ∪ ⋃_p anc(p), and root_mk is the
@@ -240,13 +193,13 @@ impl<M: StateMask> StateBounds<M> {
             }
             anc_masks[i] = anc;
             root_mk[i] = if source_mask.get(i) {
-                load_scale_ * weights[i]
+                load_scale.saturating_mul(weights[i])
             } else {
                 via_preds
             };
         }
 
-        StateBounds {
+        let mut sb = StateBounds {
             weights,
             pred_masks,
             succ_masks,
@@ -259,22 +212,7 @@ impl<M: StateMask> StateBounds<M> {
             store_scale,
             landmarks: Vec::new(),
             pdb: None,
-        }
-    }
-
-    /// Build the bound context *and* the budget-dependent
-    /// [`Heuristic::LandmarkPdb`] extras: budget-cut landmarks (retained by
-    /// their root-state charge, at most [`LANDMARK_CAP`]) and the abstraction
-    /// pattern database (reverse Dijkstra over at most `4^PDB_CAP` abstract
-    /// states).  Construction is deterministic — ties break on node index —
-    /// and happens once per instance.
-    pub fn with_budget(
-        graph: &Cdag,
-        load_scale: Weight,
-        store_scale: Weight,
-        budget: Weight,
-    ) -> Self {
-        let mut sb = Self::new(graph, load_scale, store_scale);
+        };
         sb.landmarks = sb.build_landmarks(budget);
         sb.pdb = sb.build_pdb(budget);
         sb
@@ -289,7 +227,7 @@ impl<M: StateMask> StateBounds<M> {
     /// itself needs the node red first — so all its non-red predecessors
     /// must become red too.  Blue members stop the recursion (they may
     /// simply be reloaded).  Every member is non-red by construction.
-    pub fn needed_mask(&self, red: M, blue: M) -> M {
+    fn needed_mask(&self, red: M, blue: M) -> M {
         let mut need = self.sink_mask & !blue & !red;
         let mut frontier = need;
         while !frontier.is_empty() {
@@ -305,20 +243,16 @@ impl<M: StateMask> StateBounds<M> {
         need
     }
 
-    /// Stores that must still happen: every not-yet-blue sink needs at least
-    /// one M2, and those events are pairwise distinct moves.
-    pub fn store_bound(&self, blue: M) -> Weight {
-        self.store_scale * mask_weight(self.sink_mask & !blue, &self.weights)
+    /// Cost of storing every node of `mask` once, saturating.
+    fn stores(&self, mask: M) -> Weight {
+        self.store_scale
+            .saturating_mul(mask_weight(mask, &self.weights))
     }
 
-    /// The remaining-work bound: unavoidable sink stores plus unavoidable
-    /// source loads (a source in `R*` can only become red via M1 — sources
-    /// have no predecessors to compute from).  Admissible because the counted
-    /// moves are pairwise distinct events of any completing schedule.
-    pub fn remaining_work(&self, red: M, blue: M) -> Weight {
-        let need = self.needed_mask(red, blue);
-        self.store_bound(blue)
-            + self.load_scale * mask_weight(need & self.source_mask, &self.weights)
+    /// Cost of loading every node of `mask` once, saturating.
+    fn loads(&self, mask: M) -> Weight {
+        self.load_scale
+            .saturating_mul(mask_weight(mask, &self.weights))
     }
 
     /// The forced-reload chain term `max_{u ∈ R*} mk(u)`.
@@ -367,7 +301,7 @@ impl<M: StateMask> StateBounds<M> {
                     mk[i] = 0;
                     continue;
                 }
-                let direct = self.load_scale * self.weights[i];
+                let direct = self.load_scale.saturating_mul(self.weights[i]);
                 if self.source_mask.get(i) {
                     mk[i] = direct;
                     continue;
@@ -384,52 +318,6 @@ impl<M: StateMask> StateBounds<M> {
             }
             mask_iter(need).map(|u| mk[u.index()]).max().unwrap_or(0)
         })
-    }
-
-    /// The forced-reload bound: [`StateBounds::store_bound`] plus the larger
-    /// of the source-load term and the best forced-reload chain.  The chain
-    /// term counts load events only, which may coincide with the source-load
-    /// term's, so the two are combined with `max`, while store events are
-    /// disjoint from both and add.
-    pub fn forced_reload(&self, red: M, blue: M) -> Weight {
-        let need = self.needed_mask(red, blue);
-        let load_term = self.load_scale * mask_weight(need & self.source_mask, &self.weights);
-        let chain = self.reload_chain(red, blue, need);
-        self.store_bound(blue) + load_term.max(chain)
-    }
-
-    /// The pre-hoist forced-reload evaluation (fresh full-width DP per call).
-    /// Kept for the equivalence proptests and the `bench_exact` hoist
-    /// micro-bench; not used on the search path.
-    #[doc(hidden)]
-    pub fn forced_reload_reference(&self, red: M, blue: M) -> Weight {
-        let need = self.needed_mask(red, blue);
-        let load_term = self.load_scale * mask_weight(need & self.source_mask, &self.weights);
-
-        let mut mk = vec![0 as Weight; self.weights.len()];
-        for &v in &self.topo {
-            let i = v.index();
-            if red.get(i) {
-                continue; // mk = 0
-            }
-            let direct = self.load_scale * self.weights[i];
-            if self.source_mask.get(i) {
-                mk[i] = direct;
-                continue;
-            }
-            let via_preds = mask_iter(self.pred_masks[i])
-                .map(|p| mk[p.index()])
-                .max()
-                .unwrap_or(0);
-            mk[i] = if blue.get(i) {
-                direct.min(via_preds)
-            } else {
-                via_preds
-            };
-        }
-        let chain = mask_iter(need).map(|u| mk[u.index()]).max().unwrap_or(0);
-
-        self.store_bound(blue) + load_term.max(chain)
     }
 
     /// Identify budget-cut landmarks at the root state (`red = ∅`,
@@ -551,7 +439,8 @@ impl<M: StateMask> StateBounds<M> {
         } else {
             lm.free
         };
-        self.load_scale * crossing.saturating_sub(resident)
+        self.load_scale
+            .saturating_mul(crossing.saturating_sub(resident))
     }
 
     /// Choose the pattern subset deterministically: sinks by descending
@@ -614,7 +503,7 @@ impl<M: StateMask> StateBounds<M> {
     /// larger cost, so the table value under-estimates the real cost of the
     /// moves any completion still spends on `P`'s nodes — and those moves are
     /// disjoint from out-of-`P` sink stores and source loads, so the three
-    /// terms of [`StateBounds::landmark_pdb`]'s PDB component add.
+    /// terms of [`StateBounds::lower_bound`]'s PDB component add.
     fn build_pdb(&self, budget: Weight) -> Option<Pdb<M>> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -681,7 +570,7 @@ impl<M: StateMask> StateBounds<M> {
                 // from red and paid load·w.
                 if r & bit != 0 && b & bit != 0 {
                     let t = (r & !bit) | (b << k);
-                    let nd = d + self.load_scale * w[v];
+                    let nd = d.saturating_add(self.load_scale.saturating_mul(w[v]));
                     if nd < dist[t] {
                         dist[t] = nd;
                         heap.push(Reverse((nd, t as u32)));
@@ -691,7 +580,7 @@ impl<M: StateMask> StateBounds<M> {
                 // blue pebble and paid store·w.
                 if r & bit != 0 && b & bit != 0 {
                     let t = r | ((b & !bit) << k);
-                    let nd = d + self.store_scale * w[v];
+                    let nd = d.saturating_add(self.store_scale.saturating_mul(w[v]));
                     if nd < dist[t] {
                         dist[t] = nd;
                         heap.push(Reverse((nd, t as u32)));
@@ -742,14 +631,21 @@ impl<M: StateMask> StateBounds<M> {
         })
     }
 
-    /// The landmark-pdb bound: the maximum of the landmark-strengthened
-    /// forced-reload bound and the pattern-database bound.  Falls back to
-    /// plain forced-reload when the budget-dependent extras were not built
-    /// ([`StateBounds::new`]).
-    pub fn landmark_pdb(&self, red: M, blue: M) -> Weight {
+    /// The bound itself: the larger of the landmark-strengthened
+    /// forced-reload bound and the pattern-database bound.  Always
+    /// admissible — the result never exceeds the true optimal remaining
+    /// cost from `(red, blue)` — and zero at goal states.
+    ///
+    /// The forced-reload bound is the unavoidable sink stores (every
+    /// not-yet-blue sink needs an M2) plus the larger of the unavoidable
+    /// source loads (a source in `R*` can only turn red via M1) and the
+    /// best forced-reload chain.  The chain counts load events only, which
+    /// may coincide with the source loads, so the two join by `max`, while
+    /// store events are disjoint from both and add.
+    pub fn lower_bound(&self, red: M, blue: M) -> Weight {
         let need = self.needed_mask(red, blue);
-        let store = self.store_bound(blue);
-        let load_term = self.load_scale * mask_weight(need & self.source_mask, &self.weights);
+        let store = self.stores(self.sink_mask & !blue);
+        let load_term = self.loads(need & self.source_mask);
         let chain = self.reload_chain(red, blue, need);
         let lmax = self
             .landmarks
@@ -759,7 +655,7 @@ impl<M: StateMask> StateBounds<M> {
             .unwrap_or(0);
         // Landmark reloads add to the first-load term (disjoint events);
         // the chain may share load events with both, so it joins by max.
-        let lm_bound = store + (load_term + lmax).max(chain);
+        let lm_bound = store.saturating_add(load_term.saturating_add(lmax).max(chain));
         let pdb_bound = self.pdb.as_ref().map_or(0, |p| {
             let mut key = 0usize;
             for (bit, &v) in p.nodes.iter().enumerate() {
@@ -768,21 +664,10 @@ impl<M: StateMask> StateBounds<M> {
                 }
             }
             p.table[key]
-                + self.store_scale * mask_weight(p.out_sink_mask & !blue, &self.weights)
-                + self.load_scale * mask_weight(need & p.out_source_mask, &self.weights)
+                .saturating_add(self.stores(p.out_sink_mask & !blue))
+                .saturating_add(self.loads(need & p.out_source_mask))
         });
         lm_bound.max(pdb_bound)
-    }
-
-    /// Evaluate the selected bound on a state.  Always admissible: the result
-    /// never exceeds the true optimal remaining cost from `(red, blue)`.
-    pub fn lower_bound(&self, red: M, blue: M, heuristic: Heuristic) -> Weight {
-        match heuristic {
-            Heuristic::None => 0,
-            Heuristic::RemainingWork => self.remaining_work(red, blue),
-            Heuristic::ForcedReload => self.forced_reload(red, blue),
-            Heuristic::LandmarkPdb => self.landmark_pdb(red, blue),
-        }
     }
 }
 
@@ -802,6 +687,46 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The forced-reload bound without landmarks or pattern database:
+    /// unavoidable stores plus the larger of the unavoidable source loads
+    /// and the forced-reload chain.
+    fn forced_reload_floor(sb: &StateBounds, red: u64, blue: u64) -> Weight {
+        let need = sb.needed_mask(red, blue);
+        let loads = sb.loads(need & sb.source_mask);
+        sb.stores(sb.sink_mask & !blue) + loads.max(sb.reload_chain(red, blue, need))
+    }
+
+    /// The pre-hoist forced-reload chain: a fresh full-width DP per call,
+    /// the reference the hoisted [`StateBounds::reload_chain`] must
+    /// reproduce exactly.
+    fn forced_reload_reference<M: StateMask>(sb: &StateBounds<M>, red: M, blue: M) -> Weight {
+        let mut mk = vec![0 as Weight; sb.weights.len()];
+        for &v in &sb.topo {
+            let i = v.index();
+            if red.get(i) {
+                continue; // mk = 0
+            }
+            let direct = sb.load_scale * sb.weights[i];
+            if sb.source_mask.get(i) {
+                mk[i] = direct;
+                continue;
+            }
+            let via_preds = mask_iter(sb.pred_masks[i])
+                .map(|p| mk[p.index()])
+                .max()
+                .unwrap_or(0);
+            mk[i] = if blue.get(i) {
+                direct.min(via_preds)
+            } else {
+                via_preds
+            };
+        }
+        mask_iter(sb.needed_mask(red, blue))
+            .map(|u| mk[u.index()])
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn lower_bound_sums_sources_and_sinks() {
         let g = chain();
@@ -819,29 +744,18 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_names_round_trip() {
-        for h in [
-            Heuristic::None,
-            Heuristic::RemainingWork,
-            Heuristic::ForcedReload,
-            Heuristic::LandmarkPdb,
-        ] {
-            assert_eq!(Heuristic::parse(h.name()), Some(h));
-        }
-        assert_eq!(Heuristic::parse("bogus"), None);
-        assert_eq!(Heuristic::default(), Heuristic::LandmarkPdb);
-    }
-
-    #[test]
     fn start_state_bound_matches_prop_2_4() {
         // At the initial position (red = ∅, blue = sources) the per-state
-        // bounds specialize exactly to the algorithmic lower bound.
+        // bound specializes exactly to the algorithmic lower bound.
         let g = chain();
-        let sb = StateBounds::new(&g, 1, 1);
+        let sb = StateBounds::new(&g, 1, 1, 48);
         let sources = 1u64; // x is node 0
         assert_eq!(sb.needed_mask(0, sources), 0b111);
-        assert_eq!(sb.remaining_work(0, sources), algorithmic_lower_bound(&g));
-        assert_eq!(sb.forced_reload(0, sources), algorithmic_lower_bound(&g));
+        assert_eq!(
+            forced_reload_floor(&sb, 0, sources),
+            algorithmic_lower_bound(&g)
+        );
+        assert_eq!(sb.lower_bound(0, sources), algorithmic_lower_bound(&g));
     }
 
     #[test]
@@ -849,55 +763,124 @@ mod tests {
         // x(16) -> m(32) -> y(16).  Mid-game: m was computed, stored, and
         // evicted; nothing is red.  R* is {y, m}: y must be computed, so m
         // must become red again, but m is blue so the closure stops there
-        // (it may be reloaded) and the source x is not forced.  forced-reload
+        // (it may be reloaded) and the source x is not forced.  The chain
         // prices the cheapest way to get m red again: min(reload m = 32,
         // recompute via x = 16) = 16.
         let g = chain();
-        let sb = StateBounds::new(&g, 1, 1);
+        let sb = StateBounds::new(&g, 1, 1, 48);
         let blue: u64 = 0b011; // x (source) and m stored
         assert_eq!(sb.needed_mask(0, blue), 0b110); // sink y + evicted m
-        assert_eq!(sb.remaining_work(0, blue), 16); // store y
-        assert_eq!(sb.forced_reload(0, blue), 16 + 16); // store y + chain to m
-                                                        // True remaining optimum: load x (16), compute m, compute y, store y
-                                                        // (16) = 32, so the bound is tight here and admissible.
+        assert_eq!(sb.stores(sb.sink_mask & !blue), 16); // store y
+        assert_eq!(forced_reload_floor(&sb, 0, blue), 16 + 16); // store y + chain to m
+                                                                // True remaining optimum: load x (16), compute m, compute y, store y
+                                                                // (16) = 32, so the bound is tight here and admissible.
+        assert_eq!(sb.lower_bound(0, blue), 32);
+    }
+
+    /// The 20-node symmetric reconvergent mesh: two sources feeding four
+    /// isomorphic 4-node arms that reconverge on a two-node sink chain; the
+    /// crossing source returns at every arm's tail, so reload chains run
+    /// through blue and red interiors alike.
+    fn mesh20() -> Cdag {
+        let mut b = CdagBuilder::new();
+        let root = b.node(2, "r");
+        let crossing = b.node(4, "c");
+        let mut tails = Vec::new();
+        for arm in 0..4 {
+            let head = b.node(2, format!("a{arm}_0"));
+            b.edge(root, head);
+            b.edge(crossing, head);
+            let mut prev = head;
+            for (pos, w) in [4, 4, 1].into_iter().enumerate() {
+                let v = b.node(w, format!("a{arm}_{}", pos + 1));
+                b.edge(prev, v);
+                prev = v;
+            }
+            b.edge(crossing, prev);
+            tails.push(prev);
+        }
+        let join = b.node(2, "s0");
+        for t in tails {
+            b.edge(t, join);
+        }
+        let sink = b.node(1, "s1");
+        b.edge(join, sink);
+        b.build().unwrap()
     }
 
     #[test]
     fn hoisted_forced_reload_matches_the_reference() {
-        // Every (red, blue) pair over the 3-node chain: the cone-restricted
-        // scratch DP must agree exactly with the fresh-allocation reference.
+        // Every (red, blue) pair over the 3-node chain, at asymmetric I/O
+        // scales: the cone-restricted scratch DP must agree exactly with
+        // the fresh-allocation reference.
         let g = chain();
-        let sb = StateBounds::<u64>::new(&g, 2, 3);
+        let sb = StateBounds::<u64>::new(&g, 2, 3, 48);
         for red in 0u64..8 {
             for blue in 0u64..8 {
+                let need = sb.needed_mask(red, blue);
                 assert_eq!(
-                    sb.forced_reload(red, blue),
-                    sb.forced_reload_reference(red, blue),
+                    sb.reload_chain(red, blue, need),
+                    forced_reload_reference(&sb, red, blue),
                     "red={red:03b} blue={blue:03b}"
                 );
             }
+        }
+        // 20,000 pseudo-random states on the 20-node mesh, where most
+        // states dirty some needed node's ancestor cone.
+        let g = mesh20();
+        assert_eq!(g.len(), 20);
+        let sb = StateBounds::<u64>::new(&g, 1, 1, min_feasible_budget(&g));
+        let node_mask: u64 = (1 << g.len()) - 1;
+        for i in 0..20_000u64 {
+            let mut x = i.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+            x ^= x >> 29;
+            let red = x & node_mask;
+            x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+            x ^= x >> 32;
+            let blue = x & node_mask;
+            let need = sb.needed_mask(red, blue);
+            assert_eq!(
+                sb.reload_chain(red, blue, need),
+                forced_reload_reference(&sb, red, blue),
+                "red={red:#x} blue={blue:#x}"
+            );
         }
     }
 
     #[test]
     fn bounds_are_zero_at_goal() {
         let g = chain();
-        let sb = StateBounds::with_budget(&g, 1, 1, 48);
+        let sb = StateBounds::new(&g, 1, 1, 48);
         let all: u64 = 0b111;
-        assert_eq!(sb.remaining_work(0, all), 0);
-        assert_eq!(sb.forced_reload(0, all), 0);
-        assert_eq!(sb.landmark_pdb(0, all), 0);
-        assert_eq!(sb.lower_bound(0, all, Heuristic::LandmarkPdb), 0);
+        assert_eq!(forced_reload_floor(&sb, 0, all), 0);
+        assert_eq!(sb.lower_bound(0, all), 0);
     }
 
     #[test]
     fn io_scales_multiply_the_bound_terms() {
         let g = chain();
-        let sb = StateBounds::new(&g, 3, 5);
+        let sb = StateBounds::new(&g, 3, 5, 48);
         let sources = 1u64;
         // 3 × load(x=16) vs chain (same events) + 5 × store(y=16).
-        assert_eq!(sb.remaining_work(0, sources), 3 * 16 + 5 * 16);
-        assert_eq!(sb.forced_reload(0, sources), 3 * 16 + 5 * 16);
+        assert_eq!(forced_reload_floor(&sb, 0, sources), 3 * 16 + 5 * 16);
+        assert_eq!(sb.lower_bound(0, sources), 3 * 16 + 5 * 16);
+    }
+
+    #[test]
+    fn bound_terms_saturate_instead_of_wrapping() {
+        // Weights of 2^62 at load scale 4: one load of x alone costs 2^64.
+        // Every term (and the pattern database's reverse Dijkstra) must
+        // saturate at Weight::MAX, which stays a lower bound on a cost no
+        // u64 can hold.
+        let big: Weight = 1 << 62;
+        let mut b = CdagBuilder::new();
+        let x = b.node(big, "x");
+        let y = b.node(big, "y");
+        b.edge(x, y);
+        let g = b.build().unwrap();
+        let sb = StateBounds::<u64>::new(&g, 4, 1, 2 * big);
+        assert_eq!(sb.lower_bound(0, 0b01), Weight::MAX);
+        assert_eq!(sb.lower_bound(0, 0b11), 0);
     }
 
     #[test]
@@ -914,24 +897,13 @@ mod tests {
     }
 
     #[test]
-    fn landmark_pdb_without_budget_falls_back_to_forced_reload() {
-        let g = chain();
-        let sb = StateBounds::<u64>::new(&g, 1, 1);
-        for red in 0u64..8 {
-            for blue in 0u64..8 {
-                assert_eq!(sb.landmark_pdb(red, blue), sb.forced_reload(red, blue));
-            }
-        }
-    }
-
-    #[test]
     fn landmark_pdb_dominates_forced_reload_pointwise() {
         let g = chain();
-        let sb = StateBounds::<u64>::with_budget(&g, 1, 1, 48);
+        let sb = StateBounds::<u64>::new(&g, 1, 1, 48);
         for red in 0u64..8 {
             for blue in 0u64..8 {
                 assert!(
-                    sb.landmark_pdb(red, blue) >= sb.forced_reload(red, blue),
+                    sb.lower_bound(red, blue) >= forced_reload_floor(&sb, red, blue),
                     "red={red:03b} blue={blue:03b}"
                 );
             }
@@ -958,17 +930,17 @@ mod tests {
     fn landmark_charges_the_budget_forced_reload() {
         let g = crossing();
         assert_eq!(min_feasible_budget(&g), 6); // a: 4 + 2
-        let sb = StateBounds::<u64>::with_budget(&g, 1, 1, 6);
+        let sb = StateBounds::<u64>::new(&g, 1, 1, 6);
         let root_red = 0u64;
         let root_blue = 0b0001; // source s
-                                // forced-reload sees: store c (1) + max(load s = 2, chain 2) = 3.
-        assert_eq!(sb.forced_reload(root_red, root_blue), 3);
+                                // Forced reload alone sees: store c (1) + max(load s = 2, chain 2) = 3.
+        assert_eq!(forced_reload_floor(&sb, root_red, root_blue), 3);
         // The landmark at pivot z adds the forced s reload: free budget
         // beside N(z) = {a, z} is 6 − 5 = 1 < w(s) = 2, so one extra load
         // of s.  store c (1) + (load 2 + extra 2) = 5 — and 5 is the true
         // optimum (load s, compute a, delete s, compute z, delete a,
         // reload s, compute c, store c = 2 + 2 + 1).
-        assert_eq!(sb.landmark_pdb(root_red, root_blue), 5);
+        assert_eq!(sb.lower_bound(root_red, root_blue), 5);
     }
 
     #[test]
@@ -977,8 +949,8 @@ mod tests {
         // real game here, so the bound at the root must not exceed the true
         // optimum (32) and must keep the forced-reload floor.
         let g = chain();
-        let sb = StateBounds::<u64>::with_budget(&g, 1, 1, 48);
-        let b = sb.landmark_pdb(0, 0b001);
+        let sb = StateBounds::<u64>::new(&g, 1, 1, 48);
+        let b = sb.lower_bound(0, 0b001);
         assert!(b >= 32, "must keep the forced-reload floor, got {b}");
         assert!(b <= 32, "must stay admissible (true optimum 32), got {b}");
     }

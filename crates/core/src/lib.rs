@@ -62,9 +62,7 @@ pub mod trace;
 pub mod transform;
 pub mod validate;
 
-pub use bounds::{
-    algorithmic_lower_bound, min_feasible_budget, schedule_exists, Heuristic, StateBounds,
-};
+pub use bounds::{algorithmic_lower_bound, min_feasible_budget, schedule_exists, StateBounds};
 pub use error::{GraphError, ValidityError};
 pub use fasthash::{pack_key, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use graph::{Cdag, CdagBuilder, NodeId, Weight};

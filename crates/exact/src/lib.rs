@@ -4,13 +4,14 @@
 //! PSPACE-hard, but for *small* graphs the full game-state space fits in
 //! memory.  This crate finds the provably minimum weighted schedule cost —
 //! and on request the schedule itself — with best-first **A\*** search over
-//! complete game snapshots, guided by the admissible per-state lower bounds
+//! complete game snapshots, guided by the admissible per-state lower bound
 //! of [`pebblyn_core::StateBounds`] and pruned four ways:
 //!
-//! * **heuristic guidance** ([`Heuristic`]) — each state is queued at
-//!   `f = g + h` where `h` lower-bounds the remaining cost (unavoidable sink
-//!   stores + source loads, optionally a forced-reload chain), so expansion
-//!   concentrates on states that can still beat the incumbent;
+//! * **heuristic guidance** — each state is queued at `f = g + h` where `h`
+//!   lower-bounds the remaining cost (unavoidable sink stores and source
+//!   loads, forced-reload chains, budget-cut landmarks and a pattern
+//!   database), so expansion concentrates on states that can still beat
+//!   the incumbent;
 //! * **dominance pruning** — a state is discarded when a recorded state with
 //!   a red superset, the same blue set, and strictly smaller cost exists
 //!   (deletes are free, so the dominator can reach anything the dominated
@@ -22,20 +23,22 @@
 //!   plateaus of the raw four-move game;
 //! * **symmetry reduction** — structurally interchangeable *twin* nodes
 //!   (identical predecessor and successor sets, hence equal weights:
-//!   automorphism orbits found by [`pebblyn_core::twin_classes`]) are
-//!   collapsed by rewriting every generated state to a per-orbit canonical
-//!   form, so states that differ only by which twin holds a pebble are
-//!   searched once.
+//!   automorphism orbits found by [`pebblyn_core::twin_classes`]) and the
+//!   orbits of certified automorphism generators are collapsed by
+//!   rewriting every generated state to a canonical form, so states that
+//!   differ only by which twin holds a pebble are searched once;
+//!
+//! and **partial expansion** (PEA\*) keeps successors above the parent's
+//! f-value out of the open list until the search needs them.
 //!
 //! Frontier expansion is batched and hash-distributed
 //! ([`pebblyn_engine::par::par_map_hash_distributed`], HDA\*-style): each
 //! frontier state is expanded by the virtual shard owning its state hash,
 //! with a deterministic steal rebalance, so results (costs, schedules, and
 //! every statistic including the steal count) are byte-identical for any
-//! thread count.  Every toggle can be switched off —
-//! [`ExactSolver::dijkstra_baseline`] reproduces the PR-2 uniform-cost
-//! search exactly — which is what the conformance harness uses to
-//! differentially certify the optimizations.
+//! thread count.  [`ExactSolver::dijkstra_baseline`] turns all of the above
+//! off at once — uniform-cost Dijkstra over the raw four-move game — and is
+//! the independent oracle the conformance tests certify the A\* against.
 //!
 //! Its purpose in this workspace is **certification**: property tests assert
 //! that the dataflow-specific dynamic programs of `pebblyn-schedulers`
@@ -51,7 +54,9 @@
 //! [`ExactError::Unsupported`].  Hashing a state is a handful of word
 //! multiplies, the weighted red occupancy is carried incrementally with
 //! each queue entry, and the "all predecessors red" rule is a mask compare
-//! against a precomputed per-node predecessor bitmask.
+//! against a precomputed per-node predecessor bitmask.  Path costs are
+//! checked: a path whose cost no `u64` can hold leaves the search, and a
+//! search left with no other path fails with [`ExactError::WeightOverflow`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +64,6 @@
 mod dominance;
 mod search;
 
-pub use pebblyn_core::Heuristic;
 use pebblyn_core::{Cdag, Schedule, Weight};
 pub use pebblyn_core::{StateMask, Words};
 
@@ -91,9 +95,6 @@ impl std::fmt::Display for StateLimitExceeded {
 
 impl std::error::Error for StateLimitExceeded {}
 
-/// Former name of [`StateLimitExceeded`], kept for downstream callers.
-pub type SearchLimitExceeded = StateLimitExceeded;
-
 /// Why an exact solve could not produce an answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExactError {
@@ -109,6 +110,13 @@ pub enum ExactError {
     },
     /// The search ran but exceeded its expansion cap.
     StateLimit(StateLimitExceeded),
+    /// Every remaining schedule costs more than a `u64` weight can hold:
+    /// the search dropped at least one path whose cost overflowed, and the
+    /// open list drained without reaching the goal.
+    WeightOverflow {
+        /// States expanded before the open list drained.
+        states_expanded: usize,
+    },
 }
 
 impl std::fmt::Display for ExactError {
@@ -121,6 +129,12 @@ impl std::fmt::Display for ExactError {
                  heuristic scheduler"
             ),
             ExactError::StateLimit(e) => e.fmt(f),
+            ExactError::WeightOverflow { states_expanded } => write!(
+                f,
+                "no schedule's cost fits in a u64 weight: the exact search \
+                 dropped every path whose cost overflowed ({states_expanded} \
+                 states expanded); scale the weights or I/O prices down"
+            ),
         }
     }
 }
@@ -129,20 +143,22 @@ impl std::error::Error for ExactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExactError::StateLimit(e) => Some(e),
-            ExactError::Unsupported { .. } => None,
+            ExactError::Unsupported { .. } | ExactError::WeightOverflow { .. } => None,
         }
     }
 }
 
 impl ExactError {
     /// States the failed search actually expanded before erroring: the cap
-    /// for [`ExactError::StateLimit`], and 0 for
+    /// for [`ExactError::StateLimit`], the full count for
+    /// [`ExactError::WeightOverflow`], and 0 for
     /// [`ExactError::Unsupported`], which rejects before searching.  Lets
     /// accounting callers (the conformance report keeps its state total
-    /// equal to the telemetry counter) treat both arms uniformly.
+    /// equal to the telemetry counter) treat every arm uniformly.
     pub fn states_expanded(&self) -> usize {
         match self {
             ExactError::StateLimit(e) => e.states_expanded,
+            ExactError::WeightOverflow { states_expanded } => *states_expanded,
             ExactError::Unsupported { .. } => 0,
         }
     }
@@ -184,7 +200,7 @@ pub struct SearchStats {
     pub frontier_left: usize,
     /// Partial-expansion re-pops: deferred parents popped a second (or
     /// later) time at the f-value of their best unmaterialized successor.
-    /// A subset of `expanded`; zero when partial expansion is off.
+    /// A subset of `expanded`; zero for the Dijkstra baseline.
     pub re_expanded: usize,
     /// The admissible lower bound evaluated at the start state.
     pub root_bound: Weight,
@@ -207,7 +223,19 @@ pub struct Solution {
     pub stats: SearchStats,
 }
 
-/// Exhaustive solver configuration.
+/// Which search an [`ExactSolver`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Bound-guided A\*: landmark-pdb bound, dominance pruning, macro
+    /// moves, twin + certified-WL symmetry, partial expansion.
+    AStar,
+    /// Uniform-cost Dijkstra over the raw four-move game, nothing pruned.
+    Dijkstra,
+}
+
+/// Exhaustive solver configuration: the bound-guided A\*
+/// ([`ExactSolver::default`]) or its Dijkstra oracle
+/// ([`ExactSolver::dijkstra_baseline`]), with a state cap and I/O prices.
 #[derive(Clone, Copy, Debug)]
 pub struct ExactSolver {
     /// Maximum number of states to expand before giving up (checked before
@@ -217,45 +245,19 @@ pub struct ExactSolver {
     pub load_scale: Weight,
     /// Cost per bit of an M2 (store) move.
     pub store_scale: Weight,
-    /// Which admissible per-state lower bound guides the search.
-    pub heuristic: Heuristic,
-    /// Enable dominance pruning.
-    pub dominance: bool,
-    /// Enable the tightened macro-move successor relation; `false` falls
-    /// back to the raw four-move game (the ablation baseline).
-    pub tighten: bool,
-    /// Enable twin-orbit symmetry reduction.  Automatically suspended while
-    /// reconstructing a schedule (canonical states lose the concrete move
-    /// identities a replayable schedule needs); cost-only solves keep it.
-    pub symmetry: bool,
-    /// Enable the WL-orbit lever on top of twin symmetry: canonicalize
-    /// states through certified automorphism generators beyond exact twins.
-    /// Only active when `symmetry` is also on (it extends, never replaces,
-    /// the twin sort), and suspended during schedule reconstruction for the
-    /// same reason.
-    pub wl_symmetry: bool,
-    /// Enable partial expansion (PEA*): successors above the parent's
-    /// popped f-value are not materialized; the parent re-enqueues at the
-    /// best deferred f instead, trading re-expansions for open-list peak.
-    pub partial_expansion: bool,
-    /// States expanded per parallel frontier round.  Fixed (not derived from
-    /// the thread count) so results are byte-identical on any host.
-    pub batch_size: usize,
+    mode: Mode,
 }
 
 impl Default for ExactSolver {
+    /// The bound-guided A\*.  Symmetry reduction is suspended while a
+    /// schedule is reconstructed (canonical states lose the concrete move
+    /// identities a replayable schedule needs); cost-only solves keep it.
     fn default() -> Self {
         ExactSolver {
             max_states: 5_000_000,
             load_scale: 1,
             store_scale: 1,
-            heuristic: Heuristic::default(),
-            dominance: true,
-            tighten: true,
-            symmetry: true,
-            wl_symmetry: true,
-            partial_expansion: true,
-            batch_size: 32,
+            mode: Mode::AStar,
         }
     }
 }
@@ -276,56 +278,19 @@ impl ExactSolver {
         self
     }
 
-    /// Select the guiding lower bound ([`Heuristic::None`] degenerates to
-    /// uniform-cost search).
-    pub fn with_heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Toggle dominance pruning.
-    pub fn with_dominance(mut self, on: bool) -> Self {
-        self.dominance = on;
-        self
-    }
-
-    /// Toggle the tightened macro-move successor relation.
-    pub fn with_tighten(mut self, on: bool) -> Self {
-        self.tighten = on;
-        self
-    }
-
-    /// Toggle twin-orbit symmetry reduction.
-    pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Toggle the WL-orbit lever (certified automorphism generators beyond
-    /// exact twins).  Inert unless `symmetry` is also on.
-    pub fn with_wl_symmetry(mut self, on: bool) -> Self {
-        self.wl_symmetry = on;
-        self
-    }
-
-    /// Toggle partial expansion (PEA*).
-    pub fn with_partial_expansion(mut self, on: bool) -> Self {
-        self.partial_expansion = on;
-        self
-    }
-
-    /// The PR-2 uniform-cost Dijkstra baseline: no heuristic, no dominance,
-    /// raw four-move successors, no symmetry reduction, full expansion.
-    /// Used for ablations and as the differential oracle certifying the
-    /// optimized search.
+    /// The uniform-cost Dijkstra the A\* replaced: no heuristic, no
+    /// dominance, raw four-move successors, no symmetry reduction, full
+    /// expansion.  The differential oracle certifying the A\*.
     pub fn dijkstra_baseline() -> Self {
-        ExactSolver::default()
-            .with_heuristic(Heuristic::None)
-            .with_dominance(false)
-            .with_tighten(false)
-            .with_symmetry(false)
-            .with_wl_symmetry(false)
-            .with_partial_expansion(false)
+        ExactSolver {
+            mode: Mode::Dijkstra,
+            ..Default::default()
+        }
+    }
+
+    /// Whether this solver runs the bound-guided A\* (not the baseline).
+    fn is_astar(&self) -> bool {
+        self.mode == Mode::AStar
     }
 
     /// Minimum weighted schedule cost for `graph` under `budget`, or
@@ -390,7 +355,7 @@ impl ExactSolver {
                 limit: M::BITS,
             });
         }
-        search::search::<M>(self, graph, budget, false).map_err(ExactError::from)
+        search::search::<M>(self, graph, budget, false)
     }
 
     /// Run the search with an explicitly chosen mask width, reconstructing
@@ -406,7 +371,7 @@ impl ExactSolver {
                 limit: M::BITS,
             });
         }
-        search::search::<M>(self, graph, budget, true).map_err(ExactError::from)
+        search::search::<M>(self, graph, budget, true)
     }
 
     fn dispatch(
@@ -416,19 +381,18 @@ impl ExactSolver {
         reconstruct: bool,
     ) -> Result<Solution, ExactError> {
         let n = graph.len();
-        let result = if n <= 64 {
+        if n <= 64 {
             search::search::<u64>(self, graph, budget, reconstruct)
         } else if n <= 128 {
             search::search::<Words<2>>(self, graph, budget, reconstruct)
         } else if n <= MAX_NODES {
             search::search::<Words<4>>(self, graph, budget, reconstruct)
         } else {
-            return Err(ExactError::Unsupported {
+            Err(ExactError::Unsupported {
                 nodes: n,
                 limit: MAX_NODES,
-            });
-        };
-        result.map_err(ExactError::from)
+            })
+        }
     }
 }
 
@@ -451,29 +415,9 @@ mod tests {
     use super::*;
     use pebblyn_core::{validate_schedule, CdagBuilder};
 
-    /// Every solver configuration the tests sweep: default A\* plus each
-    /// ablation axis and the full Dijkstra baseline.
+    /// Both solver configurations: the default A\* and its Dijkstra oracle.
     fn all_configs() -> Vec<ExactSolver> {
-        vec![
-            ExactSolver::default(),
-            ExactSolver::default().with_heuristic(Heuristic::None),
-            ExactSolver::default().with_heuristic(Heuristic::RemainingWork),
-            ExactSolver::default().with_heuristic(Heuristic::ForcedReload),
-            ExactSolver::default().with_dominance(false),
-            ExactSolver::default().with_tighten(false),
-            ExactSolver::default().with_symmetry(false),
-            ExactSolver::default().with_wl_symmetry(false),
-            ExactSolver::default().with_partial_expansion(false),
-            ExactSolver::default()
-                .with_wl_symmetry(false)
-                .with_partial_expansion(false)
-                .with_heuristic(Heuristic::ForcedReload),
-            ExactSolver::dijkstra_baseline(),
-            ExactSolver {
-                batch_size: 1,
-                ..ExactSolver::default()
-            },
-        ]
+        vec![ExactSolver::default(), ExactSolver::dijkstra_baseline()]
     }
 
     /// x, y -> s
@@ -748,11 +692,10 @@ mod tests {
             b.edge(m2, z);
         }
         let g = b.build().unwrap();
+        // Reconstructing a schedule suspends symmetry reduction, so
+        // `solve_with_schedule` is the same search with the reduction off.
         let on = ExactSolver::default().solve(&g, 3).unwrap();
-        let off = ExactSolver::default()
-            .with_symmetry(false)
-            .solve(&g, 3)
-            .unwrap();
+        let off = ExactSolver::default().solve_with_schedule(&g, 3).unwrap();
         assert_eq!(on.cost, off.cost, "symmetry reduction never changes cost");
         assert!(on.cost.is_some());
         assert!(

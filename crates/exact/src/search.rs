@@ -23,18 +23,19 @@
 //!
 //! Successor generation runs in one of two modes:
 //!
-//! * **loose** — the four raw game moves, exactly the PR-2 Dijkstra relation
-//!   (kept as the ablation baseline and differential-testing oracle);
-//! * **tightened** — macro-moves justified by schedule normalization: every
-//!   load can be postponed until just before the compute that consumes it,
-//!   every store advanced to just after the compute that creates it, and
-//!   every delete deferred until some load/compute is budget-blocked.  Each
-//!   successor is then either *fused loads + compute (+ store)* for one
-//!   target node, or a single delete when the budget actually blocks
-//!   progress.  Both the intermediate load states and all detached
-//!   store/delete interleavings vanish from the state space.
+//! * **loose** — the four raw game moves, the relation of the Dijkstra
+//!   baseline (the differential-testing oracle);
+//! * **tightened** — the A\*'s macro-moves, justified by schedule
+//!   normalization: every load can be postponed until just before the
+//!   compute that consumes it, every store advanced to just after the
+//!   compute that creates it, and every delete deferred until some
+//!   load/compute is budget-blocked.  Each successor is then either *fused
+//!   loads + compute (+ store)* for one target node, or a single delete
+//!   when the budget actually blocks progress.  Both the intermediate load
+//!   states and all detached store/delete interleavings vanish from the
+//!   state space.
 //!
-//! On top of either relation, **symmetry reduction** (when enabled and no
+//! On top of the tightened relation, **symmetry reduction** (unless a
 //! schedule is being reconstructed) rewrites every generated state to its
 //! twin-orbit canonical form: within each twin class of the graph
 //! ([`pebblyn_core::twin_classes`] — nodes with identical predecessor and
@@ -65,12 +66,17 @@
 //! — the open-list peak shrinks while costs, tie-breaking, and thread-count
 //! determinism are untouched (the deferred entry re-enters the same total
 //! order as everything else).
+//!
+//! Path costs never wrap: a successor whose `g` overflows a `u64` leaves
+//! the search (its cost exceeds every cost a `u64` can hold), `f = g + h`
+//! saturates, and a search that drains its open list after such a drop
+//! reports [`ExactError::WeightOverflow`] rather than infeasibility.
 
 use crate::dominance::DominanceStore;
-use crate::{ExactSolver, SearchStats, Solution, StateLimitExceeded};
+use crate::{ExactError, ExactSolver, SearchStats, Solution, StateLimitExceeded};
 use pebblyn_core::{
     certified_generators, mask_iter, mask_weight, twin_classes, Cdag, FastHashMap, FastHasher,
-    Heuristic, Move, NodeId, Schedule, StateBounds, StateMask, Weight,
+    Move, NodeId, Schedule, StateBounds, StateMask, Weight,
 };
 use pebblyn_engine::par::par_map_hash_distributed;
 use pebblyn_engine::ShardedWorklist;
@@ -80,6 +86,10 @@ use std::hash::Hasher;
 /// Open-list shard count and virtual expansion-owner count; fixed so
 /// expansion order never depends on the host's thread count.
 const SHARDS: usize = 8;
+
+/// States expanded per parallel frontier round.  Fixed (not derived from
+/// the thread count) so results are byte-identical on any host.
+const BATCH: usize = 32;
 
 /// Packed game snapshot: one red and one blue bitset, one bit per node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -133,6 +143,18 @@ struct Succ<M: StateMask> {
     step: Step<M>,
     /// Whether canonicalization rewrote the state (a symmetry prune).
     canonized: bool,
+}
+
+/// One state's expansion: its successors, and whether any successor was
+/// dropped because its path cost overflowed a `u64`.
+struct Expansion<M: StateMask> {
+    succs: Vec<Succ<M>>,
+    overflowed: bool,
+}
+
+/// `g + scale · w`, or `None` when that path cost overflows a `u64`.
+fn priced(g: Weight, scale: Weight, w: Weight) -> Option<Weight> {
+    scale.checked_mul(w).and_then(|c| g.checked_add(c))
 }
 
 #[derive(Clone, Copy, Eq, Debug)]
@@ -190,14 +212,15 @@ struct Ctx<M: StateMask> {
     budget: Weight,
     load_scale: Weight,
     store_scale: Weight,
-    bounds: StateBounds<M>,
-    heuristic: Heuristic,
+    /// The A\*'s lower bound; `None` (h ≡ 0) for the Dijkstra baseline.
+    bounds: Option<StateBounds<M>>,
+    /// The A\*'s tightened macro-move relation (else the raw four moves).
     tighten: bool,
     /// Twin classes (size ≥ 2, members ascending) used for state
     /// canonicalization; empty when symmetry reduction is off.
     classes: Vec<Vec<u32>>,
     /// Certified automorphism generators (full node permutations) applied
-    /// greedily after the twin sort; empty when the WL lever is off.
+    /// greedily after the twin sort; empty when symmetry reduction is off.
     generators: Vec<Vec<u32>>,
     /// `ceil(n / 64)`: how many mask words the graph actually occupies.
     /// Hashing exactly these words keeps shard routing width-independent.
@@ -206,7 +229,9 @@ struct Ctx<M: StateMask> {
 
 impl<M: StateMask> Ctx<M> {
     fn h(&self, s: State<M>) -> Weight {
-        self.bounds.lower_bound(s.red, s.blue, self.heuristic)
+        self.bounds
+            .as_ref()
+            .map_or(0, |b| b.lower_bound(s.red, s.blue))
     }
 
     /// Rewrite `s` to its twin-orbit canonical representative: within each
@@ -240,7 +265,7 @@ impl<M: StateMask> Ctx<M> {
             }
         }
         let mut cur = State { red, blue };
-        // WL-orbit lever: greedy descent under the certified generators.
+        // WL orbits: greedy descent under the certified generators.
         // Every application is a weight-preserving automorphism, so each
         // image is cost-equivalent; keeping only strictly smaller images
         // makes the loop terminate (finite strictly-decreasing chain) and
@@ -264,8 +289,11 @@ impl<M: StateMask> Ctx<M> {
         (cur, changed)
     }
 
-    fn successors(&self, item: &QueueItem<M>) -> Vec<Succ<M>> {
-        let mut out = Vec::new();
+    fn successors(&self, item: &QueueItem<M>) -> Expansion<M> {
+        let mut out = Expansion {
+            succs: Vec::new(),
+            overflowed: false,
+        };
         if self.tighten {
             self.successors_tight(item, &mut out);
         } else {
@@ -274,17 +302,24 @@ impl<M: StateMask> Ctx<M> {
         out
     }
 
+    /// Queue a successor reached at path cost `g`; `None` means that cost
+    /// overflowed a `u64`, so no optimal schedule runs through it and the
+    /// successor is dropped (and the drop recorded).
     fn push(
         &self,
-        out: &mut Vec<Succ<M>>,
+        out: &mut Expansion<M>,
         state: State<M>,
-        g: Weight,
+        g: Option<Weight>,
         red_weight: Weight,
         step: Step<M>,
     ) {
+        let Some(g) = g else {
+            out.overflowed = true;
+            return;
+        };
         let (state, canonized) = self.canon(state);
         let h = self.h(state);
-        out.push(Succ {
+        out.succs.push(Succ {
             state,
             g,
             red_weight,
@@ -297,7 +332,7 @@ impl<M: StateMask> Ctx<M> {
     /// Tightened successor relation (see module docs): fused
     /// loads+compute(+store) macros per target node, plus deletes only when
     /// some otherwise-applicable load/compute is budget-blocked.
-    fn successors_tight(&self, item: &QueueItem<M>, out: &mut Vec<Succ<M>>) {
+    fn successors_tight(&self, item: &QueueItem<M>, out: &mut Expansion<M>) {
         let s = item.state;
         let mut blocked = false;
         for u in 0..self.n {
@@ -322,7 +357,7 @@ impl<M: StateMask> Ctx<M> {
             }
             let next_red = s.red | missing | M::bit(u);
             let next_rw = item.red_weight + load_w + w_u;
-            let g_loads = item.g + self.load_scale * load_w;
+            let g_loads = priced(item.g, self.load_scale, load_w);
             let step = |store| Step::Fused {
                 loads: missing,
                 target: NodeId(u as u32),
@@ -350,7 +385,7 @@ impl<M: StateMask> Ctx<M> {
                         red: next_red,
                         blue: s.blue.set(u),
                     },
-                    g_loads + self.store_scale * w_u,
+                    g_loads.and_then(|g| priced(g, self.store_scale, w_u)),
                     next_rw,
                     step(true),
                 );
@@ -364,7 +399,7 @@ impl<M: StateMask> Ctx<M> {
                         red: s.red.clear(x.index()),
                         blue: s.blue,
                     },
-                    item.g,
+                    Some(item.g),
                     item.red_weight - self.weights[x.index()],
                     Step::Single(Move::Delete(x)),
                 );
@@ -372,9 +407,9 @@ impl<M: StateMask> Ctx<M> {
         }
     }
 
-    /// The raw four-move relation, byte-for-byte the PR-2 Dijkstra
-    /// expansion; kept as the ablation baseline and differential oracle.
-    fn successors_loose(&self, item: &QueueItem<M>, out: &mut Vec<Succ<M>>) {
+    /// The raw four-move relation of the Dijkstra baseline, the
+    /// differential oracle.
+    fn successors_loose(&self, item: &QueueItem<M>, out: &mut Expansion<M>) {
         let s = item.state;
         for v in 0..self.n {
             let id = NodeId(v as u32);
@@ -390,7 +425,7 @@ impl<M: StateMask> Ctx<M> {
                         red: s.red.set(v),
                         blue: s.blue,
                     },
-                    item.g + self.load_scale * w,
+                    priced(item.g, self.load_scale, w),
                     item.red_weight + w,
                     Step::Single(Move::Load(id)),
                 );
@@ -403,7 +438,7 @@ impl<M: StateMask> Ctx<M> {
                         red: s.red,
                         blue: s.blue.set(v),
                     },
-                    item.g + self.store_scale * w,
+                    priced(item.g, self.store_scale, w),
                     item.red_weight,
                     Step::Single(Move::Store(id)),
                 );
@@ -420,7 +455,7 @@ impl<M: StateMask> Ctx<M> {
                         red: s.red.set(v),
                         blue: s.blue,
                     },
-                    item.g,
+                    Some(item.g),
                     item.red_weight + w,
                     Step::Single(Move::Compute(id)),
                 );
@@ -433,7 +468,7 @@ impl<M: StateMask> Ctx<M> {
                         red: s.red.clear(v),
                         blue: s.blue,
                     },
-                    item.g,
+                    Some(item.g),
                     item.red_weight - w,
                     Step::Single(Move::Delete(id)),
                 );
@@ -500,7 +535,7 @@ pub(crate) fn search<M: StateMask>(
     graph: &Cdag,
     budget: Weight,
     reconstruct: bool,
-) -> Result<Solution, StateLimitExceeded> {
+) -> Result<Solution, ExactError> {
     assert!(
         graph.len() <= M::BITS,
         "state mask of {} bits cannot represent {} nodes (checked by the solver entry points)",
@@ -513,30 +548,12 @@ pub(crate) fn search<M: StateMask>(
     let pred_masks: Vec<M> = (0..n)
         .map(|v| pebblyn_core::bounds::nodes_to_mask(graph.preds(NodeId(v as u32))))
         .collect();
-    // Symmetry reduction rewrites states across automorphism orbits, which
+    let astar = solver.is_astar();
+    // Symmetry reduction (twin sort, then the certified WL-orbit
+    // generators) rewrites states across automorphism orbits, which
     // preserves costs but not the parent pointers a concrete move sequence
     // needs — so it is disabled whenever a schedule is being reconstructed.
-    let classes = if solver.symmetry && !reconstruct {
-        twin_classes(graph)
-    } else {
-        Vec::new()
-    };
-    // The WL-orbit lever rides on the same soundness argument as the twin
-    // sort, and the same reconstruction caveat; it is additionally gated by
-    // its own flag so the ablation grid can isolate it.
-    let generators = if solver.symmetry && solver.wl_symmetry && !reconstruct {
-        certified_generators(graph)
-    } else {
-        Vec::new()
-    };
-    // The landmark/PDB tier needs the budget at construction time (landmarks
-    // and the abstract game are budget-relative); the other tiers keep the
-    // budget-free constructor so their bounds stay instance-cacheable.
-    let bounds = if solver.heuristic == Heuristic::LandmarkPdb {
-        StateBounds::with_budget(graph, solver.load_scale, solver.store_scale, budget)
-    } else {
-        StateBounds::new(graph, solver.load_scale, solver.store_scale)
-    };
+    let symmetry = astar && !reconstruct;
     let ctx = Ctx {
         n,
         source_mask: pebblyn_core::bounds::nodes_to_mask::<M>(graph.sources()),
@@ -544,13 +561,21 @@ pub(crate) fn search<M: StateMask>(
         budget,
         load_scale: solver.load_scale,
         store_scale: solver.store_scale,
-        bounds,
-        heuristic: solver.heuristic,
-        tighten: solver.tighten,
+        bounds: astar
+            .then(|| StateBounds::new(graph, solver.load_scale, solver.store_scale, budget)),
+        tighten: astar,
         weights,
         pred_masks,
-        classes,
-        generators,
+        classes: if symmetry {
+            twin_classes(graph)
+        } else {
+            Vec::new()
+        },
+        generators: if symmetry {
+            certified_generators(graph)
+        } else {
+            Vec::new()
+        },
         hash_words: n.div_ceil(64).max(1),
     };
 
@@ -579,14 +604,15 @@ pub(crate) fn search<M: StateMask>(
         },
     );
     let mut dom = DominanceStore::default();
-    let batch_cap = solver.batch_size.max(1);
-    let mut batch: Vec<QueueItem<M>> = Vec::with_capacity(batch_cap);
-    let mut hints: Vec<u64> = Vec::with_capacity(batch_cap);
+    let mut batch: Vec<QueueItem<M>> = Vec::with_capacity(BATCH);
+    let mut hints: Vec<u64> = Vec::with_capacity(BATCH);
+    // Whether any successor was dropped for an overflowing path cost.
+    let mut overflowed = false;
 
     loop {
         batch.clear();
         let mut settled_goal: Option<QueueItem<M>> = None;
-        while batch.len() < batch_cap {
+        while batch.len() < BATCH {
             let Some(item) = open.pop_best() else { break };
             if dist.get(&item.state) != Some(&item.g) {
                 continue; // stale queue entry
@@ -604,12 +630,12 @@ pub(crate) fn search<M: StateMask>(
             }
             if stats.expanded == solver.max_states {
                 record_stats(&stats);
-                return Err(StateLimitExceeded {
+                return Err(ExactError::StateLimit(StateLimitExceeded {
                     max_states: solver.max_states,
                     states_expanded: stats.expanded,
-                });
+                }));
             }
-            if solver.dominance {
+            if astar {
                 if dom.dominated(item.state.red, item.state.blue, item.g) {
                     stats.dominated += 1;
                     continue;
@@ -647,9 +673,16 @@ pub(crate) fn search<M: StateMask>(
             });
         }
         if batch.is_empty() {
-            // The open list drained without reaching the goal: infeasible.
+            // The open list drained without reaching the goal: infeasible,
+            // unless a path was dropped for overflowing — then every
+            // schedule left costs more than a u64 can hold.
             stats.frontier_left = 0;
             record_stats(&stats);
+            if overflowed {
+                return Err(ExactError::WeightOverflow {
+                    states_expanded: stats.expanded,
+                });
+            }
             return Ok(Solution {
                 cost: None,
                 schedule: None,
@@ -664,12 +697,13 @@ pub(crate) fn search<M: StateMask>(
                 .iter()
                 .map(|item| shard_hint(&item.state, ctx.hash_words)),
         );
-        let (succ_lists, steals) =
+        let (expansions, steals) =
             par_map_hash_distributed(&batch, &hints, SHARDS, |item| ctx.successors(item));
         stats.frontier_steals += steals;
         // Sequential merge in batch order: the only mutation point, so the
         // search is deterministic for any thread count.
-        for (item, succs) in batch.iter().zip(succ_lists) {
+        for (item, expansion) in batch.iter().zip(expansions) {
+            overflowed |= expansion.overflowed;
             // Partial expansion: only successors at or below the parent's
             // own popped f-value materialize now; the smallest deferred f
             // (over successors that would otherwise have been enqueued)
@@ -679,7 +713,7 @@ pub(crate) fn search<M: StateMask>(
             // here would also be filtered at re-expansion, and skipping it
             // in `next_f` loses nothing.
             let mut next_f: Option<Weight> = None;
-            for succ in succs {
+            for succ in expansion.succs {
                 stats.generated += 1;
                 if succ.canonized {
                     stats.symmetry_pruned += 1;
@@ -692,12 +726,12 @@ pub(crate) fn search<M: StateMask>(
                     stats.deduped += 1;
                     continue;
                 }
-                if solver.dominance && dom.dominated(succ.state.red, succ.state.blue, succ.g) {
+                if astar && dom.dominated(succ.state.red, succ.state.blue, succ.g) {
                     stats.dominated += 1;
                     continue;
                 }
-                let f = succ.g + succ.h;
-                if solver.partial_expansion && f > item.f {
+                let f = succ.g.saturating_add(succ.h);
+                if astar && f > item.f {
                     next_f = Some(next_f.map_or(f, |best: Weight| best.min(f)));
                     continue;
                 }

@@ -88,8 +88,8 @@ pub mod prelude {
         BudgetSpec, Memo, MinMemoryPlan, MinMemoryResult, Series, SweepPlan, SweepResult,
     };
     pub use pebblyn_exact::{
-        exact_min_cost, exact_optimal_schedule, ExactError, ExactSolver, Heuristic, SearchStats,
-        Solution, StateLimitExceeded, MAX_NODES,
+        exact_min_cost, exact_optimal_schedule, ExactError, ExactSolver, SearchStats, Solution,
+        StateLimitExceeded, MAX_NODES,
     };
     pub use pebblyn_graphs::{
         banded, conv, dwt, dwt2d, dwt_coarse, mvm, tree, AnyGraph, BandedMvmGraph, CoarseDwtGraph,
