@@ -121,28 +121,10 @@ impl Table {
     }
 }
 
-/// Log-spaced budgets on the word lattice from `lo_words` to `hi_words`
-/// (inclusive, deduplicated, in bits).  Delegates to the engine's grid so
-/// plans and ad-hoc sweeps agree on the lattice.
-pub fn log_budgets(lo_words: u64, hi_words: u64, points: usize, word: u64) -> Vec<Weight> {
-    pebblyn::engine::log_budgets(lo_words, hi_words, points, word)
-}
-
 /// Format an optional cost the way the paper's tables do: `inf` when the
 /// scheduler is infeasible at the budget.
 pub fn fmt_bits(v: Option<Weight>) -> String {
     v.map_or_else(|| "inf".into(), |c| c.to_string())
-}
-
-/// Parallel map over items, delegating to the sweep engine's worker pool
-/// (order-preserving; thread count honors `RAYON_NUM_THREADS`).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    pebblyn::engine::par::par_map(&items, f)
 }
 
 /// A 16-node reconvergent mesh: 4 sources feeding 12 interior joins, each
@@ -412,20 +394,6 @@ pub fn validate_bench_streaming(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_budgets_are_monotone_and_bounded() {
-        let b = log_budgets(3, 1024, 20, 16);
-        assert!(b.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*b.first().unwrap(), 48);
-        assert_eq!(*b.last().unwrap(), 1024 * 16);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let r = parallel_map((0..100).collect(), |&x| x * 2);
-        assert_eq!(r, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn table_round_trip() {

@@ -7,11 +7,33 @@
 //! `pebblyn serve` daemon use.  The `sweep` and `min-memory` commands
 //! are thin declarations over the `pebblyn-engine` plans, sharing its
 //! process-wide memo.
+//!
+//! Report lines go to one writer handed to [`run`], and a failed write
+//! comes back as [`CliError::Io`] rather than a panic, so a reader that
+//! hangs up early (`pebblyn schedule ... --emit | head -1`) ends the run
+//! cleanly.
 
 use crate::args::{Command, StreamFamily};
 use crate::error::CliError;
 use pebblyn::prelude::*;
 use pebblyn::service::{serve_stream, serve_unix};
+use std::io::Write;
+
+/// `writeln!` to the report writer, propagating a failed write.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// A failed report write, as the typed error `main` reports (or, for a
+/// closed pipe, ends quietly on).
+fn stdout_error(source: std::io::Error) -> CliError {
+    CliError::Io {
+        path: "<stdout>".into(),
+        source,
+    }
+}
 
 /// The trait object a `--scheduler` registry name denotes.  The parser
 /// already validated the name, so a miss here is unreachable in the
@@ -120,9 +142,10 @@ fn schedule_multi(
     scheduler: &'static str,
     machine: &MachineSpec,
     emit: bool,
-    out: Option<String>,
+    out_file: Option<String>,
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    if out.is_some() {
+    if out_file.is_some() {
         return Err(CliError::Usage(
             "--out writes the single-processor M1..M4 text format and does not \
              apply to multiprocessor schedules"
@@ -136,7 +159,8 @@ fn schedule_multi(
         ));
     }
     let cdag = g.cdag();
-    println!(
+    say!(
+        out,
         "{} on {}, comm price {}",
         g.name(),
         machine_summary(machine),
@@ -156,26 +180,30 @@ fn schedule_multi(
         .expect("full multiprocessor request returns moves");
     // Replay for the report's stats; the executor already validated.
     let stats = validate_multi_schedule(cdag, machine, &multi)?;
-    println!("scheduler:   {}", display_name(scheduler));
-    println!(
+    say!(out, "scheduler:   {}", display_name(scheduler));
+    say!(
+        out,
         "moves:       {} ({} communications)",
-        stats.moves, stats.comm_moves
+        stats.moves,
+        stats.comm_moves
     );
-    println!(
+    say!(
+        out,
         "total I/O:   {} bits (lower bound {}, comm {} of it)",
         stats.total_cost(),
         algorithmic_lower_bound(cdag),
         stats.comm_cost
     );
-    println!("makespan:    {} bit-times", stats.makespan);
-    println!(
+    say!(out, "makespan:    {} bit-times", stats.makespan);
+    say!(
+        out,
         "busy procs:  {} of {}, peak red {:?}",
         stats.procs_used(),
         machine.num_procs(),
         stats.peak_red
     );
     if emit {
-        println!("\n{multi}");
+        say!(out, "\n{multi}");
     }
     Ok(())
 }
@@ -186,17 +214,12 @@ fn sweep_multi(
     g: &AnyGraph,
     sched: &'static dyn Scheduler,
     scheduler: &'static str,
-    points: usize,
+    budgets: Vec<Weight>,
     procs: usize,
     comm_price: Weight,
-    scheme: WeightScheme,
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let budgets = BudgetSpec::LogLattice {
-        points,
-        word: scheme.word_bits(),
-    }
-    .budgets(g);
-    println!("budget_bits,cost_bits,makespan_bits,comm_bits");
+    say!(out, "budget_bits,cost_bits,makespan_bits,comm_bits");
     for b in budgets {
         let machine = MachineSpec::symmetric(procs, b).with_comm_price(comm_price);
         if !sched.supports_machine(g, &machine) {
@@ -207,7 +230,8 @@ fn sweep_multi(
         }
         let req = ScheduleRequest::new(g, machine, scheduler).with_cost_only(true);
         match api::execute_with(sched, &req) {
-            Ok(resp) => println!(
+            Ok(resp) => say!(
+                out,
                 "{b},{},{},{}",
                 resp.cost(),
                 resp.makespan()
@@ -215,15 +239,18 @@ fn sweep_multi(
                 resp.comm_cost()
                     .expect("multiprocessor answers carry comm cost"),
             ),
-            Err(ScheduleError::InfeasibleBudget { .. }) => println!("{b},inf,inf,inf"),
+            Err(ScheduleError::InfeasibleBudget { .. }) => say!(out, "{b},inf,inf,inf"),
             Err(e) => return Err(CliError::from_schedule_error(e, display_name(scheduler), b)),
         }
     }
     Ok(())
 }
 
-/// Execute a parsed command.
-pub fn run(cmd: Command) -> Result<(), CliError> {
+/// Execute a parsed command, writing its report to `out`.
+///
+/// The stdio `serve` transport writes its frames to its own stdout
+/// handle, so pass an unlocked handle here, never a held lock.
+pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
     match cmd {
         Command::Schedule {
             workload,
@@ -232,15 +259,15 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             machine,
             emit,
             optimize,
-            out,
+            out: out_file,
         } => {
             let g = AnyGraph::build(workload, scheme)?;
             let sched = ensure_supported(&g, scheduler)?;
             let cdag = g.cdag();
             let Some(budget) = machine.uniprocessor_budget() else {
-                return schedule_multi(&g, sched, scheduler, &machine, emit, out);
+                return schedule_multi(&g, sched, scheduler, &machine, emit, out_file, out);
             };
-            println!("{} under {scheme}, budget {budget} bits", g.name());
+            say!(out, "{} under {scheme}, budget {budget} bits", g.name());
             let req = ScheduleRequest::new(&g, budget, scheduler);
             let mut schedule = match api::execute_with(sched, &req) {
                 Ok(resp) => resp.into_schedule().expect("full request returns moves"),
@@ -263,29 +290,30 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             };
             if optimize {
                 let (optimized, pstats) = peephole(cdag, &schedule);
-                println!("peephole:    removed {} moves", pstats.removed());
+                say!(out, "peephole:    removed {} moves", pstats.removed());
                 schedule = optimized;
             }
             let stats = validate_schedule(cdag, budget, &schedule)?;
-            println!("scheduler:   {}", display_name(scheduler));
-            println!("moves:       {}", stats.moves);
-            println!(
+            say!(out, "scheduler:   {}", display_name(scheduler));
+            say!(out, "moves:       {}", stats.moves);
+            say!(
+                out,
                 "cost:        {} bits (lower bound {})",
                 stats.cost,
                 algorithmic_lower_bound(cdag)
             );
-            println!("peak red:    {} bits", stats.peak_red_weight);
+            say!(out, "peak red:    {} bits", stats.peak_red_weight);
             if emit {
-                println!("\n{schedule}");
+                say!(out, "\n{schedule}");
             }
-            if let Some(path) = out {
+            if let Some(path) = out_file {
                 std::fs::write(&path, pebblyn::core::io::to_text(&schedule)).map_err(|source| {
                     CliError::Io {
                         path: path.clone(),
                         source,
                     }
                 })?;
-                println!("schedule written to {path}");
+                say!(out, "schedule written to {path}");
             }
             Ok(())
         }
@@ -304,7 +332,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let built = t0.elapsed();
             let g = AnyGraph::custom(format!("{}-giga", family.name()), cdag);
             let cdag = g.cdag();
-            println!(
+            say!(
+                out,
                 "{}: {n} nodes / {e} edges (built in {:.2}s), budget {budget} bits",
                 g.name(),
                 built.as_secs_f64()
@@ -317,17 +346,21 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let scheduled = t1.elapsed();
             let stats = validate_schedule(cdag, budget, &schedule)?;
             let lb = algorithmic_lower_bound(cdag);
-            println!("scheduler:   {}", display_name(scheduler));
-            println!(
+            say!(out, "scheduler:   {}", display_name(scheduler));
+            say!(
+                out,
                 "cost:        {} bits (lower bound {lb}, gap {:.4}x)",
                 stats.cost,
                 stats.cost as f64 / lb as f64
             );
-            println!(
+            say!(
+                out,
                 "peak red:    {} of {budget} bits · {} moves",
-                stats.peak_red_weight, stats.moves
+                stats.peak_red_weight,
+                stats.moves
             );
-            println!(
+            say!(
+                out,
                 "scheduled in {:.2}s ({:.0} ns/edge, single pass)",
                 scheduled.as_secs_f64(),
                 scheduled.as_secs_f64() * 1e9 / e as f64
@@ -349,9 +382,13 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 "scheduler never reaches the algorithmic lower bound",
             ))?;
             let word = scheme.word_bits();
-            println!("{name} under {scheme}, {}", display_name(scheduler));
-            println!("minimum fast memory: {} words = {bits} bits", bits / word);
-            println!("power-of-two:        {} bits", round_pow2(bits));
+            say!(out, "{name} under {scheme}, {}", display_name(scheduler));
+            say!(
+                out,
+                "minimum fast memory: {} words = {bits} bits",
+                bits / word
+            );
+            say!(out, "power-of-two:        {} bits", round_pow2(bits));
             Ok(())
         }
         Command::Sweep {
@@ -364,24 +401,23 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
         } => {
             let g = AnyGraph::build(workload, scheme)?;
             let sched = ensure_supported(&g, scheduler)?;
+            let lattice = BudgetSpec::LogLattice {
+                points,
+                word: scheme.word_bits(),
+            };
             if procs > 1 {
-                return sweep_multi(&g, sched, scheduler, points, procs, comm_price, scheme);
+                let budgets = lattice.budgets(&g);
+                return sweep_multi(&g, sched, scheduler, budgets, procs, comm_price, out);
             }
-            let res = SweepPlan::new(
-                "cli sweep",
-                BudgetSpec::LogLattice {
-                    points,
-                    word: scheme.word_bits(),
-                },
-            )
-            .workload(g)
-            .series(Series::scheduler(sched))
-            .run_with(Memo::global());
-            println!("budget_bits,cost_bits");
+            let res = SweepPlan::new("cli sweep", lattice)
+                .workload(g)
+                .series(Series::scheduler(sched))
+                .run_with(Memo::global());
+            say!(out, "budget_bits,cost_bits");
             for row in &res.rows {
                 match row.cost {
-                    Some(c) => println!("{},{c}", row.budget),
-                    None => println!("{},inf", row.budget),
+                    Some(c) => say!(out, "{},{c}", row.budget),
+                    None => say!(out, "{},inf", row.budget),
                 }
             }
             Ok(())
@@ -395,8 +431,9 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let g = AnyGraph::build(workload, scheme)?;
             let cdag = g.cdag();
             let solver = ExactSolver::with_max_states(max_states);
-            println!("{} under {scheme}, budget {budget} bits", g.name());
-            println!(
+            say!(out, "{} under {scheme}, budget {budget} bits", g.name());
+            say!(
+                out,
                 "solver:      A* · landmark-pdb bound · dominance · macro moves · twin + WL \
                  symmetry · partial expansion"
             );
@@ -409,24 +446,37 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                     min_feasible: Some(min_feasible_budget(cdag)),
                 });
             };
-            println!(
+            say!(
+                out,
                 "optimum:     {cost} bits (lower bound {}, root bound {})",
                 algorithmic_lower_bound(cdag),
                 st.root_bound
             );
-            println!(
+            say!(
+                out,
                 "expanded:    {} states over {} batches ({} generated, {} re-expansions)",
-                st.expanded, st.batches, st.generated, st.re_expanded
+                st.expanded,
+                st.batches,
+                st.generated,
+                st.re_expanded
             );
-            println!(
+            say!(
+                out,
                 "pruned:      {} dominated · {} re-reached · {} orbit-merged \
                  ({} dominance entries)",
-                st.dominated, st.deduped, st.symmetry_pruned, st.dominance_entries
+                st.dominated,
+                st.deduped,
+                st.symmetry_pruned,
+                st.dominance_entries
             );
-            println!(
+            say!(
+                out,
                 "frontier:    {} open at exit · peak {} · {} steals \
                  ({}-word state masks)",
-                st.frontier_left, st.peak_open, st.frontier_steals, st.mask_words
+                st.frontier_left,
+                st.peak_open,
+                st.frontier_steals,
+                st.mask_words
             );
             Ok(())
         }
@@ -436,26 +486,30 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 word_bits: word,
             }
             .synthesize(&Process::default());
-            println!(
+            say!(
+                out,
                 "capacity:    {} bits ({} words)",
                 m.capacity_bits,
                 m.words()
             );
-            println!(
+            say!(
+                out,
                 "array:       {} rows x {} cols (mux {})",
-                m.rows, m.cols, m.mux
+                m.rows,
+                m.cols,
+                m.mux
             );
-            println!("area:        {:.0} λ²", m.area_l2);
-            println!("leakage:     {:.2} mW", m.leakage_mw);
-            println!("read power:  {:.2} mW", m.read_power_mw);
-            println!("write power: {:.2} mW", m.write_power_mw);
-            println!("read perf:   {:.1} GB/s", m.read_gbps);
-            println!("write perf:  {:.1} GB/s", m.write_gbps);
+            say!(out, "area:        {:.0} λ²", m.area_l2);
+            say!(out, "leakage:     {:.2} mW", m.leakage_mw);
+            say!(out, "read power:  {:.2} mW", m.read_power_mw);
+            say!(out, "write power: {:.2} mW", m.write_power_mw);
+            say!(out, "read perf:   {:.1} GB/s", m.read_gbps);
+            say!(out, "write perf:  {:.1} GB/s", m.write_gbps);
             Ok(())
         }
         Command::Dot { workload, scheme } => {
             let g = AnyGraph::build(workload, scheme)?;
-            print!("{}", g.cdag().to_dot());
+            write!(out, "{}", g.cdag().to_dot()).map_err(stdout_error)?;
             Ok(())
         }
         Command::Trace {
@@ -475,13 +529,20 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 .expect("full request returns moves");
             let trace = occupancy_trace(cdag, &schedule)?;
             let s = summarize(&trace);
-            println!("{} under {scheme}, {}", g.name(), display_name(scheduler));
-            println!(
+            say!(
+                out,
+                "{} under {scheme}, {}",
+                g.name(),
+                display_name(scheduler)
+            );
+            say!(
+                out,
                 "occupancy over {} moves (budget {budget} bits):",
                 trace.len()
             );
-            println!("  {}", render_sparkline(&trace, 72));
-            println!(
+            say!(out, "  {}", render_sparkline(&trace, 72));
+            say!(
+                out,
                 "peak {} bits | mean {:.0} bits | {:.0}% of moves within 90% of peak",
                 s.peak,
                 s.mean,
@@ -545,7 +606,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             })?;
             let records =
                 pebblyn::telemetry::schema::validate_jsonl(&text).map_err(CliError::Telemetry)?;
-            print!("{}", pebblyn::telemetry::schema::report(&records));
+            write!(out, "{}", pebblyn::telemetry::schema::report(&records))
+                .map_err(stdout_error)?;
             Ok(())
         }
     }

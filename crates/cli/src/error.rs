@@ -41,7 +41,7 @@ pub enum CliError {
     Search(pebblyn::prelude::ExactError),
     /// A telemetry JSONL file failed schema validation.
     Telemetry(String),
-    /// Writing an output file failed.
+    /// Reading or writing a file, or writing the report to stdout, failed.
     Io {
         /// Destination path.
         path: String,
@@ -58,6 +58,11 @@ impl CliError {
             CliError::Usage(_) => 2,
             _ => 1,
         }
+    }
+
+    /// `true` for a write that failed because the reader closed the pipe.
+    pub fn is_broken_pipe(&self) -> bool {
+        matches!(self, CliError::Io { source, .. } if source.kind() == std::io::ErrorKind::BrokenPipe)
     }
 
     /// Map a typed [`ScheduleError`] to the CLI surface: `Unsupported` and

@@ -26,13 +26,18 @@ fn main() {
             telemetry::install_sink(Box::new(sink));
         }
         let label = inv.command.name();
-        let out = commands::run(inv.command);
+        let out = commands::run(inv.command, &mut std::io::stdout());
         // Flush even on a runtime error: a partial run's counters are
         // exactly what post-mortems want. No-op when telemetry is off.
         telemetry::flush_run(label);
         out
     });
     if let Err(e) = result {
+        // The reader hung up (`pebblyn ... | head -1`): it has all it
+        // asked for, so this is a normal end, not an error.
+        if e.is_broken_pipe() {
+            return;
+        }
         if matches!(e, CliError::Usage(_)) {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::USAGE);

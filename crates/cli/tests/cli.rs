@@ -44,6 +44,44 @@ fn schedule_dwt_reports_table1_row() {
     assert!(stdout.contains("peak red:    160 bits"));
 }
 
+/// A reader that hangs up after one line (`| head -1`) ends the run
+/// with status 0 and a quiet stderr, not a print panic (exit 101).
+#[test]
+fn closed_stdout_pipe_exits_cleanly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pebblyn"))
+        .args([
+            "schedule",
+            "--workload",
+            "mvm",
+            "--m",
+            "96",
+            "--cols",
+            "120",
+            "--budget",
+            "99w",
+            "--emit",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first report line");
+    assert!(first.starts_with("MVM"), "{first}");
+    // The reader is dropped here: the pipe's read end is closed while the
+    // binary still has most of the schedule left to write.
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
 #[test]
 fn schedule_conv_stream() {
     let (ok, stdout, _) = pebblyn(&[

@@ -1,20 +1,26 @@
 //! Differential conformance and fuzzing harness.
 //!
-//! Certifies every registered [`Scheduler`] against the exhaustive exact
-//! solver on randomized weighted CDAGs.  One *case* is a pure function of
-//! `(seed, index)` (see [`rng`]): a random graph from one of four shape
-//! families ([`gen`]), checked across a feasibility-aware budget sweep
-//! against the full oracle relation lattice ([`oracle`]) and three
-//! metamorphic transforms ([`metamorphic`]).  Failing cases are greedily
-//! minimized before reporting ([`shrink`]), and the harness's own
-//! sensitivity is certified by injecting known-bad schedulers and
-//! asserting they are caught ([`mutants`], [`mutation_smoke`]).
+//! Certifies every registered [`Scheduler`] on randomized weighted CDAGs.
+//! One *case* is a pure function of `(seed, index)` (see [`rng`]): a
+//! random graph from one of four shape families ([`gen`]), checked across
+//! a feasibility-aware budget sweep against a [`Regime`]'s relations.
+//! Failing cases are greedily minimized before reporting ([`shrink`]), and
+//! the harness's own sensitivity is certified by injecting known-bad
+//! schedulers and asserting they are caught ([`mutants`],
+//! [`mutation_smoke`]).
 //!
-//! Entry points: [`run`] fuzzes the real registry, [`mutation_smoke`]
-//! fuzzes each mutant until caught, [`run_streaming`] certifies the
-//! streaming schedulers by invariants alone ([`streaming`]), and
-//! [`run_multi`] certifies the multiprocessor schedulers across processor
-//! counts ([`multi`]).  The `conformance` binary wraps all four:
+//! One case loop, [`run_regime`], serves three scheduler sets with one
+//! per-case [`CaseOutcome`], one summed [`Report`] and one shrinker:
+//!
+//! * the **exact regime** ([`run`]) — the full [`oracle`] on the registry,
+//!   with exact certification on the small cases and the
+//!   [`metamorphic`] transforms;
+//! * **STREAMING** ([`streaming`]) — the same oracle on the streaming
+//!   schedulers with exact certification off;
+//! * **MULTI** ([`multi`]) — the multiprocessor relations across
+//!   processor counts.
+//!
+//! The `conformance` binary wraps them all:
 //!
 //! ```text
 //! cargo run -p pebblyn-conformance -- --seed 3 --cases 2000
@@ -36,13 +42,13 @@ pub mod shrink;
 pub mod streaming;
 
 pub use gen::{generate, CaseSpec, Family, TestCase};
-pub use multi::{run_multi, MultiReport, DEFAULT_PROCS};
-pub use oracle::{CaseOutcome, OracleConfig, Violation};
+pub use multi::{multi_schedulers, DEFAULT_PROCS};
+pub use oracle::{CaseOutcome, GapSample, OracleConfig, Violation};
 pub use rng::SplitRng;
 pub use shrink::Shrunk;
-pub use streaming::{run_streaming, GapSample, StreamingReport};
+pub use streaming::streaming_schedulers;
 
-use pebblyn_core::{Cdag, Weight};
+use pebblyn_core::{min_feasible_budget, Cdag, Weight};
 use pebblyn_engine::par::par_map;
 use pebblyn_schedulers::{registry, Scheduler};
 use std::fmt;
@@ -69,6 +75,51 @@ impl Default for Config {
             seed: 3,
             cases: 200,
             oracle: OracleConfig::default(),
+        }
+    }
+}
+
+/// A scheduler set and the relations a run certifies it by.
+#[derive(Clone, Copy)]
+pub enum Regime<'a> {
+    /// The differential [`oracle`] on these schedulers, with exact
+    /// certification up to [`OracleConfig::exhaustive_max_nodes`].
+    Oracle(&'a [&'a dyn Scheduler]),
+    /// The [`multi`] relations on these schedulers at each of these
+    /// processor counts.
+    Multi(&'a [&'a dyn Scheduler], &'a [usize]),
+}
+
+impl Regime<'_> {
+    /// The budgets one case is checked at: the oracle's feasibility-aware
+    /// sweep, from the Prop. 2.3 minimum up under MULTI.
+    pub fn sweep(&self, g: &Cdag) -> Vec<Weight> {
+        let mut probes = oracle::budget_probes(g);
+        if let Regime::Multi(..) = self {
+            let minb = min_feasible_budget(g);
+            probes.retain(|&b| b >= minb);
+        }
+        probes
+    }
+
+    /// Check `g` at each budget in `probes` (ascending).
+    pub fn check(
+        &self,
+        g: &Cdag,
+        probes: &[Weight],
+        cfg: &OracleConfig,
+        rng: &mut SplitRng,
+    ) -> CaseOutcome {
+        match *self {
+            Regime::Oracle(schedulers) => oracle::check_graph(g, probes, schedulers, cfg, rng),
+            Regime::Multi(schedulers, procs) => {
+                let mut out = CaseOutcome::default();
+                for &b in probes {
+                    out.budgets += 1;
+                    multi::check_multi_graph_at(g, b, procs, schedulers, &mut out);
+                }
+                out
+            }
         }
     }
 }
@@ -110,20 +161,32 @@ impl fmt::Display for Failure {
     }
 }
 
-/// Aggregate run report.
+/// Aggregate run report: every checked case's [`CaseOutcome`] summed,
+/// with the failing cases shrunk.  Each regime prints the counters that
+/// apply to it.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Cases checked.
     pub cases: u64,
     /// Total budget probes across all cases.
     pub budgets: usize,
+    /// Total scheduler probes (see [`CaseOutcome::probes`]).
+    pub probes: usize,
+    /// Scheduler probes at or above the Prop. 2.3 minimum.
+    pub feasible_probes: usize,
     /// Probes certified against the exhaustive optimum.
     pub exact_certified: usize,
     /// Probes where the exact search hit its state cap and was skipped.
     pub exact_skipped: usize,
     /// Total states the exact solver expanded across the run — the sweep's
-    /// certification cost, and the number the A\* pruning levers drive down.
+    /// certification cost.
     pub exact_states: usize,
+    /// Communication moves observed in replayed multiprocessor schedules.
+    pub comm_moves: u64,
+    /// Largest observed `cost / lower_bound` ratio ([`GapSample::ratio`]).
+    pub worst_gap: f64,
+    /// Mean observed `cost / lower_bound` ratio over every sample.
+    pub mean_gap: f64,
     /// Failing cases, shrunk.
     pub failures: Vec<Failure>,
 }
@@ -135,47 +198,70 @@ impl Report {
     }
 }
 
-/// Fuzz the real scheduler registry.
+/// Fuzz the real scheduler registry in the exact regime.
 pub fn run(cfg: &Config) -> Report {
-    run_with_schedulers(cfg, registry())
+    run_regime(cfg, Regime::Oracle(registry()))
 }
 
-/// Fuzz an explicit scheduler list (the mutation-smoke entry point uses
-/// this to inject broken schedulers).
-pub fn run_with_schedulers(cfg: &Config, schedulers: &[&dyn Scheduler]) -> Report {
-    let indices: Vec<u64> = (0..cfg.cases).collect();
-    let outcomes = par_map(&indices, |&idx| {
-        let case = generate(cfg.seed, idx);
-        let mut rng = SplitRng::for_case(cfg.seed ^ ORACLE_SALT, idx);
-        let out = oracle::check_case(&case, schedulers, &cfg.oracle, &mut rng);
-        (case, out)
-    });
+/// Check cases `0..cfg.cases` under `regime`, shrinking every failure.
+pub fn run_regime(cfg: &Config, regime: Regime) -> Report {
+    drive(cfg, regime, false)
+}
 
-    let mut report = Report {
-        cases: cfg.cases,
-        ..Report::default()
-    };
-    for (case, out) in outcomes {
-        report.budgets += out.budgets;
-        report.exact_certified += out.exact_certified;
-        report.exact_skipped += out.exact_skipped;
-        report.exact_states += out.exact_states;
-        if !out.violations.is_empty() {
-            report
-                .failures
-                .push(shrink_failure(cfg, &case, out.violations, schedulers));
+/// The one case loop.  With `until_caught` the cases are checked one at a
+/// time and the run stops at the first failing case (the mutation smoke's
+/// hunt); otherwise they are checked in parallel.
+fn drive(cfg: &Config, regime: Regime, until_caught: bool) -> Report {
+    let batch = if until_caught { 1 } else { cfg.cases.max(1) };
+    let mut report = Report::default();
+    let mut gap_sum = 0.0f64;
+    let mut gap_count = 0usize;
+    let mut next = 0;
+    while next < cfg.cases && (report.is_clean() || !until_caught) {
+        let indices: Vec<u64> = (next..cfg.cases.min(next + batch)).collect();
+        next += batch;
+        let outcomes = par_map(&indices, |&idx| {
+            let case = generate(cfg.seed, idx);
+            let mut rng = SplitRng::for_case(cfg.seed ^ ORACLE_SALT, idx);
+            let probes = regime.sweep(&case.graph);
+            let out = regime.check(&case.graph, &probes, &cfg.oracle, &mut rng);
+            (case, out)
+        });
+        for (case, out) in outcomes {
+            report.cases += 1;
+            report.budgets += out.budgets;
+            report.probes += out.probes;
+            report.feasible_probes += out.feasible_probes;
+            report.exact_certified += out.exact_certified;
+            report.exact_skipped += out.exact_skipped;
+            report.exact_states += out.exact_states;
+            report.comm_moves += out.comm_moves;
+            for g in &out.gaps {
+                let r = g.ratio();
+                report.worst_gap = report.worst_gap.max(r);
+                gap_sum += r;
+                gap_count += 1;
+            }
+            if !out.violations.is_empty() {
+                report
+                    .failures
+                    .push(shrink_failure(cfg, regime, &case, out.violations));
+            }
         }
+    }
+    if gap_count > 0 {
+        report.mean_gap = gap_sum / gap_count as f64;
     }
     report
 }
 
 /// Minimize one failing case: shrink `(graph, budget)` while the *same
-/// oracle relation* keeps failing.
+/// relation* keeps failing.
 fn shrink_failure(
     cfg: &Config,
+    regime: Regime,
     case: &TestCase,
     violations: Vec<Violation>,
-    schedulers: &[&dyn Scheduler],
 ) -> Failure {
     let first = violations[0].clone();
     let check = first.check;
@@ -188,13 +274,12 @@ fn shrink_failure(
 
     let recheck = |g: &Cdag, b: Weight| -> Vec<Violation> {
         let mut rng = SplitRng::for_case(seed, idx);
-        if sweep_level {
-            let mut out = CaseOutcome::default();
-            oracle::check_graph(g, "shrink", schedulers, &cfg.oracle, &mut rng, &mut out);
-            out.violations
+        let probes = if sweep_level {
+            regime.sweep(g)
         } else {
-            oracle::check_graph_at(g, b, schedulers, &cfg.oracle, &mut rng).violations
-        }
+            vec![b]
+        };
+        regime.check(g, &probes, &cfg.oracle, &mut rng).violations
     };
 
     let shrunk = shrink::shrink(&case.graph, first.budget, |g, b| {
@@ -219,52 +304,17 @@ fn shrink_failure(
     }
 }
 
-/// Result of hunting one injected mutant.
-#[derive(Debug, Clone)]
-pub struct MutantReport {
-    /// The mutant's scheduler name.
-    pub name: String,
-    /// Whether the oracle caught it within the case budget.
-    pub caught: bool,
-    /// Cases generated before the first catch (or the full budget).
-    pub cases_tried: u64,
-    /// The shrunk counterexample, when caught.
-    pub example: Option<Failure>,
-}
-
 /// Certify the harness itself: inject each known-bad scheduler and hunt
-/// it until the oracle objects.  A mutant surviving `cfg.cases` cases
-/// means the net has a hole.
-pub fn mutation_smoke(cfg: &Config) -> Vec<MutantReport> {
+/// it until the oracle objects.  Returns each mutant's name with its
+/// hunt's [`Report`]: `cases` counts the cases tried, and the first
+/// failing case, shrunk, is the catch.  A mutant whose report stays clean
+/// for `cfg.cases` cases escaped — the net has a hole.
+pub fn mutation_smoke(cfg: &Config) -> Vec<(String, Report)> {
     mutants::all()
         .iter()
         .map(|m| {
-            let schedulers: Vec<&dyn Scheduler> = vec![m.as_ref()];
-            for idx in 0..cfg.cases {
-                let case = generate(cfg.seed, idx);
-                let mut rng = SplitRng::for_case(cfg.seed ^ ORACLE_SALT, idx);
-                let out = oracle::check_case(&case, &schedulers, &cfg.oracle, &mut rng);
-                let mine: Vec<Violation> = out
-                    .violations
-                    .into_iter()
-                    .filter(|v| v.scheduler == m.name())
-                    .collect();
-                if !mine.is_empty() {
-                    let failure = shrink_failure(cfg, &case, mine, &schedulers);
-                    return MutantReport {
-                        name: m.name().to_string(),
-                        caught: true,
-                        cases_tried: idx + 1,
-                        example: Some(failure),
-                    };
-                }
-            }
-            MutantReport {
-                name: m.name().to_string(),
-                caught: false,
-                cases_tried: cfg.cases,
-                example: None,
-            }
+            let report = drive(cfg, Regime::Oracle(&[m.as_ref()]), true);
+            (m.name().to_string(), report)
         })
         .collect()
 }
@@ -301,13 +351,14 @@ mod tests {
     fn every_mutant_is_caught_and_shrunk() {
         let reports = mutation_smoke(&small_cfg());
         assert_eq!(reports.len(), mutants::all().len());
-        for r in &reports {
-            assert!(r.caught, "{} escaped the harness", r.name);
-            let ex = r.example.as_ref().expect("caught implies an example");
+        for (name, r) in &reports {
+            let ex = r
+                .failures
+                .first()
+                .unwrap_or_else(|| panic!("{name} escaped the harness"));
             assert!(
                 ex.shrunk.graph.len() <= ex.violations.len().max(1) * 12,
-                "{}: shrunk case suspiciously large ({} nodes)",
-                r.name,
+                "{name}: shrunk case suspiciously large ({} nodes)",
                 ex.shrunk.graph.len()
             );
             assert!(!ex.shrunk_detail.is_empty());

@@ -1,5 +1,6 @@
-//! The `conformance` binary: fuzz the scheduler registry, or certify the
-//! harness itself in mutation-smoke mode.
+//! The `conformance` binary: fuzz the scheduler registry (exact regime),
+//! the streaming schedulers (`--streaming`) or the multiprocessor ones
+//! (`--multi`), or certify the harness itself in mutation-smoke mode.
 //!
 //! ```text
 //! cargo run --release -p pebblyn-conformance -- --seed 3 --cases 2000
@@ -9,7 +10,11 @@
 //! Exit codes: `0` clean, `1` violations found (or a mutant escaped),
 //! `2` usage error.
 
-use pebblyn_conformance::{mutation_smoke, run, run_multi, run_streaming, Config, DEFAULT_PROCS};
+use pebblyn_conformance::{
+    multi_schedulers, mutation_smoke, run_regime, streaming_schedulers, Config, Regime,
+    DEFAULT_PROCS,
+};
+use pebblyn_schedulers::registry;
 use pebblyn_telemetry as telemetry;
 use std::process::ExitCode;
 
@@ -25,10 +30,11 @@ OPTIONS:
                       mode, the per-mutant hunting budget (default 64)
   --mutation-smoke    inject known-bad schedulers and verify the oracle
                       catches every one (certifies the harness itself)
-  --streaming         run the STREAMING regime instead: certify the
-                      streaming schedulers by invariants alone (Prop. 2.3
-                      feasibility, replay-cost identity, Prop. 2.4 bound
-                      gap recorded) — no exact cross-check
+  --streaming         run the STREAMING regime instead: the same oracle
+                      on the streaming schedulers with the exact
+                      cross-check off (Prop. 2.3 feasibility, replay-cost
+                      identity, metamorphic relations, Prop. 2.4 bound gap
+                      recorded)
   --multi             run the MULTI regime instead: certify the
                       multiprocessor schedulers (replay, per-processor
                       budgets, I/O and makespan floors, p=1 byte-identity
@@ -160,35 +166,73 @@ fn main() -> ExitCode {
     if args.mutation_smoke {
         return smoke(&cfg);
     }
+
+    // Each regime: its scheduler set, its header, the flags that
+    // reproduce it, and its telemetry run name.
+    let exact = !args.streaming && !args.multi;
+    let streaming = streaming_schedulers();
+    let multi = multi_schedulers();
+    let procs = args
+        .procs
+        .iter()
+        .map(|p| p.to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let (regime, flags, run_name) = if args.streaming {
+        cfg.oracle = cfg.oracle.with_exhaustive_max_nodes(0);
+        println!(
+            "conformance (STREAMING regime): seed {} · {} cases · invariant-only, bound gap recorded",
+            cfg.seed, cfg.cases
+        );
+        (
+            Regime::Oracle(&streaming),
+            "--streaming ".to_string(),
+            "conformance-streaming",
+        )
+    } else if args.multi {
+        println!(
+            "conformance (MULTI regime): seed {} · {} cases · procs {{{procs}}}",
+            cfg.seed, cfg.cases
+        );
+        (
+            Regime::Multi(&multi, &args.procs),
+            format!("--multi --procs {procs} "),
+            "conformance-multi",
+        )
+    } else {
+        println!(
+            "conformance: seed {} · {} cases · exact state cap {}",
+            cfg.seed,
+            cfg.cases,
+            cfg.oracle.max_states()
+        );
+        (Regime::Oracle(registry()), String::new(), "conformance")
+    };
+
+    let report = run_regime(&cfg, regime);
     if args.streaming {
-        return streaming(&cfg, args.telemetry.is_some(), args.failure_out.as_deref());
-    }
-    if args.multi {
-        return multi(
-            &cfg,
-            &args.procs,
-            args.telemetry.is_some(),
-            args.failure_out.as_deref(),
+        println!(
+            "checked {} cases / {} probes ({} feasible) · Prop. 2.4 gap: worst {:.4}x · mean {:.4}x",
+            report.cases, report.probes, report.feasible_probes, report.worst_gap, report.mean_gap
+        );
+    } else if args.multi {
+        println!(
+            "checked {} cases / {} probes · {} communication moves observed",
+            report.cases, report.probes, report.comm_moves
+        );
+    } else {
+        println!(
+            "checked {} cases / {} budget probes · {} exact-certified · {} exact-skipped (state cap) · {} states expanded",
+            report.cases, report.budgets, report.exact_certified, report.exact_skipped, report.exact_states
         );
     }
 
-    println!(
-        "conformance: seed {} · {} cases · exact state cap {}",
-        cfg.seed,
-        cfg.cases,
-        cfg.oracle.max_states()
-    );
-    let report = run(&cfg);
-    println!(
-        "checked {} cases / {} budget probes · {} exact-certified · {} exact-skipped (state cap) · {} states expanded",
-        report.cases, report.budgets, report.exact_certified, report.exact_skipped, report.exact_states
-    );
-
-    if report.is_clean() {
-        if args.telemetry.is_some() {
-            // On a clean run (no shrinking re-runs to skew the counter) the
-            // report's exact-state total and the solver's own telemetry
-            // counter account for the same solves; CI pins this invariant.
+    if args.telemetry.is_some() {
+        if exact && report.is_clean() {
+            // On a clean exact-regime run (no shrinking re-runs to skew the
+            // counter) the report's exact-state total and the solver's own
+            // telemetry counter account for the same solves; CI pins this
+            // invariant.
             let counted = telemetry::counter(telemetry::Counter::StatesExpanded);
             if counted != report.exact_states as u64 {
                 println!(
@@ -196,17 +240,16 @@ fn main() -> ExitCode {
                      telemetry counter reads {counted}",
                     report.exact_states
                 );
-                telemetry::flush_run("conformance");
+                telemetry::flush_run(run_name);
                 return ExitCode::FAILURE;
             }
             println!("telemetry: states_expanded counter matches the report ({counted})");
-            telemetry::flush_run("conformance");
         }
+        telemetry::flush_run(run_name);
+    }
+    if report.is_clean() {
         println!("OK: zero violations");
         return ExitCode::SUCCESS;
-    }
-    if args.telemetry.is_some() {
-        telemetry::flush_run("conformance");
     }
 
     let mut body = String::new();
@@ -216,89 +259,10 @@ fn main() -> ExitCode {
     }
     println!("{} FAILING CASE(S):\n{body}", report.failures.len());
     println!(
-        "reproduce any case with: cargo run --release -p pebblyn-conformance -- --seed {} --cases {}",
+        "reproduce with: cargo run --release -p pebblyn-conformance -- {flags}--seed {} --cases {}",
         cfg.seed, cfg.cases
     );
     if let Some(path) = &args.failure_out {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("failing shrunk cases written to {path}");
-        }
-    }
-    ExitCode::FAILURE
-}
-
-fn streaming(cfg: &Config, telemetry_on: bool, failure_out: Option<&str>) -> ExitCode {
-    println!(
-        "conformance (STREAMING regime): seed {} · {} cases · invariant-only, bound gap recorded",
-        cfg.seed, cfg.cases
-    );
-    let report = run_streaming(cfg);
-    println!(
-        "checked {} cases / {} probes ({} feasible) · Prop. 2.4 gap: worst {:.4}x · mean {:.4}x",
-        report.cases, report.probes, report.feasible_probes, report.worst_gap, report.mean_gap
-    );
-    if telemetry_on {
-        telemetry::flush_run("conformance-streaming");
-    }
-    if report.is_clean() {
-        println!("OK: zero violations");
-        return ExitCode::SUCCESS;
-    }
-    let mut body = String::new();
-    for f in &report.failures {
-        body.push_str(&f.to_string());
-        body.push('\n');
-    }
-    println!("{} FAILING CASE(S):\n{body}", report.failures.len());
-    println!(
-        "reproduce with: cargo run --release -p pebblyn-conformance -- --streaming --seed {} --cases {}",
-        cfg.seed, cfg.cases
-    );
-    if let Some(path) = failure_out {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("failing shrunk cases written to {path}");
-        }
-    }
-    ExitCode::FAILURE
-}
-
-fn multi(cfg: &Config, procs: &[usize], telemetry_on: bool, failure_out: Option<&str>) -> ExitCode {
-    let procs_label = procs
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!(
-        "conformance (MULTI regime): seed {} · {} cases · procs {{{procs_label}}}",
-        cfg.seed, cfg.cases
-    );
-    let report = run_multi(cfg, procs);
-    println!(
-        "checked {} cases / {} probes · {} communication moves observed",
-        report.cases, report.probes, report.comm_moves
-    );
-    if telemetry_on {
-        telemetry::flush_run("conformance-multi");
-    }
-    if report.is_clean() {
-        println!("OK: zero violations");
-        return ExitCode::SUCCESS;
-    }
-    let mut body = String::new();
-    for f in &report.failures {
-        body.push_str(&f.to_string());
-        body.push('\n');
-    }
-    println!("{} FAILING CASE(S):\n{body}", report.failures.len());
-    println!(
-        "reproduce with: cargo run --release -p pebblyn-conformance -- --multi --seed {} --cases {} --procs {procs_label}",
-        cfg.seed, cfg.cases
-    );
-    if let Some(path) = failure_out {
         if let Err(e) = std::fs::write(path, &body) {
             eprintln!("warning: could not write {path}: {e}");
         } else {
@@ -315,13 +279,11 @@ fn smoke(cfg: &Config) -> ExitCode {
     );
     let reports = mutation_smoke(cfg);
     let mut escaped = 0usize;
-    for r in &reports {
-        if r.caught {
-            let ex = r.example.as_ref().expect("caught implies example");
+    for (name, r) in &reports {
+        if let Some(ex) = r.failures.first() {
             println!(
-                "CAUGHT {} after {} case(s); shrunk to {} nodes at budget {}",
-                r.name,
-                r.cases_tried,
+                "CAUGHT {name} after {} case(s); shrunk to {} nodes at budget {}",
+                r.cases,
                 ex.shrunk.graph.len(),
                 ex.shrunk.budget
             );
@@ -329,8 +291,8 @@ fn smoke(cfg: &Config) -> ExitCode {
         } else {
             escaped += 1;
             println!(
-                "ESCAPED {} — survived {} cases undetected (the net has a hole)",
-                r.name, r.cases_tried
+                "ESCAPED {name} — survived {} cases undetected (the net has a hole)",
+                r.cases
             );
         }
     }

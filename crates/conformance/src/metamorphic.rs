@@ -76,10 +76,8 @@ pub fn random_perm(n: usize, rng: &mut SplitRng) -> Vec<u32> {
 ///
 /// `exact_series[i]` is the known exact optimum at `probes[i]` (when the
 /// exhaustive pass computed one).
-#[allow(clippy::too_many_arguments)]
 pub fn check(
     g: &Cdag,
-    _label: &str,
     probes: &[Weight],
     schedulers: &[&dyn Scheduler],
     cfg: &OracleConfig,
@@ -102,7 +100,7 @@ pub fn check(
 
     let any = AnyGraph::custom("meta-orig", g.clone());
     let push = |out: &mut CaseOutcome, check: &'static str, sched: &str, detail: String| {
-        out.violations.push(Violation {
+        out.push(Violation {
             check,
             scheduler: sched.to_string(),
             budget: b,

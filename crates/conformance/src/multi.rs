@@ -31,16 +31,17 @@
 //! 7. **Work conservation** — `comm-list` dispatches to the least-loaded
 //!    processor, so it must occupy at least `min(p, computed nodes)`
 //!    processors.
+//!
+//! The harness runs these relations as [`Regime::Multi`](crate::Regime):
+//! the same case loop, report and shrinker as the other regimes, at the
+//! oracle's budget probes from the Prop. 2.3 minimum up (below it the
+//! multiprocessor surface declines uniformly; nothing to learn).
 
-use crate::gen::generate;
-use crate::oracle::{budget_probes, Violation};
-use crate::shrink;
-use crate::{Config, Failure};
+use crate::oracle::{CaseOutcome, Violation};
 use pebblyn_core::{
     algorithmic_lower_bound, min_feasible_budget, validate_multi_schedule, Cdag, MachineSpec,
     MultiSchedule, Weight,
 };
-use pebblyn_engine::par::par_map;
 use pebblyn_graphs::AnyGraph;
 use pebblyn_schedulers::{by_name, Scheduler};
 use pebblyn_telemetry as telemetry;
@@ -62,26 +63,6 @@ pub fn multi_schedulers() -> Vec<&'static dyn Scheduler> {
 /// The processor counts a default MULTI run sweeps.
 pub const DEFAULT_PROCS: &[usize] = &[1, 2, 4];
 
-/// Aggregate report of one MULTI-regime run.
-#[derive(Debug, Clone, Default)]
-pub struct MultiReport {
-    /// Cases checked.
-    pub cases: u64,
-    /// Total `(scheduler, budget, procs)` probes across all cases.
-    pub probes: usize,
-    /// Total communication moves observed across all feasible probes.
-    pub comm_moves: u64,
-    /// Failing cases, shrunk exactly like the other regimes'.
-    pub failures: Vec<Failure>,
-}
-
-impl MultiReport {
-    /// `true` when no case violated any multiprocessor invariant.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// The weighted compute critical path: the heaviest compute-weight chain,
 /// a makespan floor no processor count can beat.
 fn critical_path(g: &Cdag) -> Weight {
@@ -101,14 +82,16 @@ fn critical_path(g: &Cdag) -> Weight {
     best
 }
 
-/// Check both multiprocessor schedulers on one `(graph, budget)` probe
-/// across `procs`.  Pure — no RNG — so the shrinker can re-invoke it.
+/// Check the multiprocessor schedulers on one `(graph, budget)` probe at
+/// every processor count in `procs`, recording into `out`.  Pure — no
+/// RNG — so the shrinker can re-invoke it at any budget.
 pub fn check_multi_graph_at(
     g: &Cdag,
     budget: Weight,
     procs: &[usize],
     schedulers: &[&dyn Scheduler],
-) -> (Vec<Violation>, u64) {
+    out: &mut CaseOutcome,
+) {
     let minb = min_feasible_budget(g);
     let lb = algorithmic_lower_bound(g);
     let cp = critical_path(g);
@@ -119,8 +102,6 @@ pub fn check_multi_graph_at(
         .sum();
     let computes = g.nodes().filter(|&v| !g.is_source(v)).count();
     let any = AnyGraph::custom("multi", g.clone());
-    let mut violations = Vec::new();
-    let mut comm_total = 0u64;
     let single = pebblyn_schedulers::greedy_belady::schedule(g, budget);
 
     for s in schedulers {
@@ -129,214 +110,132 @@ pub fn check_multi_graph_at(
         let mut prev_key: Option<(Weight, Weight)> = None;
         for &p in procs {
             telemetry::incr(telemetry::Counter::Probes);
+            out.probes += 1;
+            if budget >= minb {
+                out.feasible_probes += 1;
+            }
             let spec = MachineSpec::symmetric(p, budget);
-            let mut fail = |check: &'static str, detail: String| {
-                violations.push(Violation {
-                    check,
-                    scheduler: format!("{}@p{p}", s.name()),
-                    budget,
-                    detail,
-                });
+            let fail = |check: &'static str, detail: String| Violation {
+                check,
+                scheduler: format!("{}@p{p}", s.name()),
+                budget,
+                detail,
             };
             let ms: MultiSchedule = match s.schedule_multi(&any, &spec) {
                 Ok(ms) => ms,
                 Err(e) => {
                     if budget >= minb {
-                        fail(
+                        out.push(fail(
                             "multi-infeasible",
                             format!("declined a feasible budget ({minb} bits suffice): {e}"),
-                        );
+                        ));
                     }
                     continue;
                 }
             };
             if budget < minb {
-                fail(
+                out.push(fail(
                     "multi-phantom-feasibility",
                     format!("produced a schedule below the Prop. 2.3 minimum ({minb} bits)"),
-                );
+                ));
                 continue;
             }
             let stats = match validate_multi_schedule(g, &spec, &ms) {
                 Ok(stats) => stats,
                 Err(e) => {
-                    fail("multi-invalid", format!("replay rejected: {e}"));
+                    out.push(fail("multi-invalid", format!("replay rejected: {e}")));
                     continue;
                 }
             };
-            comm_total += stats.comm_moves;
+            out.comm_moves += stats.comm_moves;
             if let Some((q, &peak)) = stats
                 .peak_red
                 .iter()
                 .enumerate()
                 .find(|&(q, &peak)| peak > spec.proc_budget(q))
             {
-                fail(
+                out.push(fail(
                     "multi-budget-exceeded",
                     format!(
                         "processor {q} peaked at {peak} over budget {}",
                         spec.proc_budget(q)
                     ),
-                );
+                ));
                 continue;
             }
             if stats.io_cost < lb {
-                fail(
+                out.push(fail(
                     "multi-below-lower-bound",
                     format!("I/O cost {} < algorithmic lower bound {lb}", stats.io_cost),
-                );
+                ));
             }
             let span_floor = cp.max(work.div_ceil(p as Weight));
             if stats.makespan < span_floor {
-                fail(
+                out.push(fail(
                     "multi-makespan-floor",
                     format!(
                         "makespan {} < max(critical path {cp}, work/p {})",
                         stats.makespan,
                         work.div_ceil(p as Weight)
                     ),
-                );
+                ));
             }
             if p == 1 {
                 match (&single, ms.project_single()) {
                     (Some(expected), Some(projected)) if &projected == expected => {}
-                    (Some(_), got) => fail(
+                    (Some(_), got) => out.push(fail(
                         "multi-p1-divergence",
                         format!(
                             "p=1 projection is not byte-identical to greedy-belady \
                              (projected {} moves)",
                             got.map(|s| s.len()).unwrap_or(0)
                         ),
-                    ),
-                    (None, _) => fail(
+                    )),
+                    (None, _) => out.push(fail(
                         "multi-p1-divergence",
                         "scheduled at p=1 where greedy-belady is infeasible".to_string(),
-                    ),
+                    )),
                 }
                 if stats.comm_moves != 0 {
-                    fail(
+                    out.push(fail(
                         "multi-p1-comm",
                         format!("{} communication moves on one processor", stats.comm_moves),
-                    );
+                    ));
                 }
             }
             if s.name() == "partition-belady" {
                 let key = (stats.makespan, stats.total_cost());
                 if let Some(prev) = prev_key {
                     if key > prev {
-                        fail(
+                        out.push(fail(
                             "multi-non-monotone",
                             format!(
                                 "objective worsened with more processors: {key:?} after {prev:?}"
                             ),
-                        );
+                        ));
                     }
                 }
                 prev_key = Some(key);
             }
             if s.name() == "comm-list" && stats.procs_used() < p.min(computes) {
-                fail(
+                out.push(fail(
                     "multi-not-work-conserving",
                     format!(
                         "used {} of {p} processors with {computes} computed nodes",
                         stats.procs_used()
                     ),
-                );
+                ));
             }
         }
-    }
-    (violations, comm_total)
-}
-
-/// Check one graph across the feasibility-aware budget probes.
-pub fn check_multi_graph(
-    g: &Cdag,
-    procs: &[usize],
-    schedulers: &[&dyn Scheduler],
-) -> (usize, Vec<Violation>, u64) {
-    let minb = min_feasible_budget(g);
-    let mut probes = 0usize;
-    let mut violations = Vec::new();
-    let mut comm = 0u64;
-    for b in budget_probes(g) {
-        if b < minb {
-            continue; // the multi surface declines these uniformly; nothing to learn
-        }
-        probes += schedulers.len() * procs.len();
-        let (v, c) = check_multi_graph_at(g, b, procs, schedulers);
-        violations.extend(v);
-        comm += c;
-    }
-    (probes, violations, comm)
-}
-
-/// Run the MULTI regime: generate `cfg.cases` cases from the same
-/// `(seed, index)` space as the other regimes and certify the
-/// multiprocessor invariants on each at every processor count in `procs`,
-/// shrinking any failures.
-pub fn run_multi(cfg: &Config, procs: &[usize]) -> MultiReport {
-    let schedulers = multi_schedulers();
-    let indices: Vec<u64> = (0..cfg.cases).collect();
-    let outcomes = par_map(&indices, |&idx| {
-        let case = generate(cfg.seed, idx);
-        let (probes, violations, comm) = check_multi_graph(&case.graph, procs, &schedulers);
-        (case, probes, violations, comm)
-    });
-
-    let mut report = MultiReport {
-        cases: cfg.cases,
-        ..MultiReport::default()
-    };
-    for (case, probes, violations, comm) in outcomes {
-        report.probes += probes;
-        report.comm_moves += comm;
-        if !violations.is_empty() {
-            report
-                .failures
-                .push(shrink_multi_failure(&case, violations, procs, &schedulers));
-        }
-    }
-    report
-}
-
-/// Minimize one failing MULTI case.  Every check reproduces at its
-/// recorded budget (the monotonicity relation spans processor counts, not
-/// budgets), so the shrinker may minimize the budget too.
-fn shrink_multi_failure(
-    case: &crate::TestCase,
-    violations: Vec<Violation>,
-    procs: &[usize],
-    schedulers: &[&dyn Scheduler],
-) -> Failure {
-    let first = violations[0].clone();
-    let check = first.check;
-
-    let shrunk = shrink::shrink(&case.graph, first.budget, |g, b| {
-        check_multi_graph_at(g, b, procs, schedulers)
-            .0
-            .iter()
-            .any(|v| v.check == check)
-    });
-
-    let shrunk_detail = check_multi_graph_at(&shrunk.graph, shrunk.budget, procs, schedulers)
-        .0
-        .into_iter()
-        .find(|v| v.check == check)
-        .map(|v| v.to_string())
-        .unwrap_or_else(|| format!("[{check}] (reproduces only on the unshrunk case)"));
-
-    Failure {
-        spec: case.spec,
-        label: case.label(),
-        violations,
-        shrunk,
-        shrunk_detail,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleConfig;
+    use crate::rng::SplitRng;
+    use crate::{generate, run_regime, Config, Regime};
     use pebblyn_core::CdagBuilder;
 
     fn small_cfg() -> Config {
@@ -347,9 +246,23 @@ mod tests {
         }
     }
 
+    /// Every relation the regime checks on `g`, across its sweep.
+    fn check_multi_graph(g: &Cdag, procs: &[usize], schedulers: &[&dyn Scheduler]) -> CaseOutcome {
+        let regime = Regime::Multi(schedulers, procs);
+        regime.check(
+            g,
+            &regime.sweep(g),
+            &OracleConfig::default(),
+            &mut SplitRng::new(0),
+        )
+    }
+
     #[test]
     fn registry_multi_pair_is_clean_on_a_small_run() {
-        let report = run_multi(&small_cfg(), DEFAULT_PROCS);
+        let report = run_regime(
+            &small_cfg(),
+            Regime::Multi(&multi_schedulers(), DEFAULT_PROCS),
+        );
         assert!(
             report.is_clean(),
             "violations: {:#?}",
@@ -365,8 +278,9 @@ mod tests {
 
     #[test]
     fn multi_runs_are_deterministic() {
-        let a = run_multi(&small_cfg(), DEFAULT_PROCS);
-        let b = run_multi(&small_cfg(), DEFAULT_PROCS);
+        let schedulers = multi_schedulers();
+        let a = run_regime(&small_cfg(), Regime::Multi(&schedulers, DEFAULT_PROCS));
+        let b = run_regime(&small_cfg(), Regime::Multi(&schedulers, DEFAULT_PROCS));
         assert_eq!(a.probes, b.probes);
         assert_eq!(a.comm_moves, b.comm_moves);
         assert_eq!(a.failures.len(), b.failures.len());
@@ -384,9 +298,9 @@ mod tests {
         b.edge(x, z);
         b.edge(y, z);
         let g = b.build().unwrap();
-        let (probes, violations, _) = check_multi_graph(&g, DEFAULT_PROCS, &multi_schedulers());
-        assert!(violations.is_empty(), "{violations:#?}");
-        assert!(probes > 0);
+        let out = check_multi_graph(&g, DEFAULT_PROCS, &multi_schedulers());
+        assert!(out.violations.is_empty(), "{:#?}", out.violations);
+        assert!(out.probes > 0);
     }
 
     /// A deliberately broken "multiprocessor" scheduler — it silently drops
@@ -434,8 +348,8 @@ mod tests {
         let cfg = small_cfg();
         for idx in 0..cfg.cases {
             let case = generate(cfg.seed, idx);
-            let (_, violations, _) = check_multi_graph(&case.graph, &[2], &schedulers);
-            if violations.iter().any(|v| v.check == "multi-invalid") {
+            let out = check_multi_graph(&case.graph, &[2], &schedulers);
+            if out.violations.iter().any(|v| v.check == "multi-invalid") {
                 return;
             }
         }

@@ -1,38 +1,36 @@
-//! The STREAMING conformance regime: invariant-only certification of the
-//! O(E) streaming schedulers, with the Proposition 2.4 bound gap recorded.
+//! The STREAMING conformance regime: the O(E) streaming schedulers
+//! certified by invariants alone, with the Proposition 2.4 bound gap
+//! recorded.
 //!
-//! The exhaustive oracle cross-checks every registered scheduler against
-//! the exact solver, but that relation is meaningless for schedulers built
-//! for graphs the exact solver will never touch.  This regime certifies
-//! the streaming pair (`topo-window`, `slab-partition`) by *invariants
-//! alone*, on the same four generator families and the same
-//! feasibility-aware budget probes as the full oracle:
+//! The streaming pair (`topo-window`, `slab-partition`) is built for
+//! graphs the exact solver will never touch, so this regime is the
+//! [`oracle`](crate::oracle) run on [`streaming_schedulers`] with the exact
+//! ceiling at 0 (`OracleConfig::with_exhaustive_max_nodes(0)`), over the
+//! same four generator families and feasibility-aware budget probes as the
+//! exact regime.  Every relation that needs no optimum still applies:
 //!
-//! 1. **Feasibility (Prop. 2.3)** — below [`min_feasible_budget`] the
-//!    scheduler must decline with the game-level hint filled in; at or
-//!    above it, a streaming scheduler supports every CDAG and must
-//!    succeed.
+//! 1. **Feasibility (Prop. 2.3)** — both schedulers are
+//!    [`ALWAYS_FEASIBLE`](crate::oracle::ALWAYS_FEASIBLE): they support
+//!    every CDAG, succeed at or above [`min_feasible_budget`], and below it
+//!    decline with the game-level hint filled in.
 //! 2. **Replay-cost identity** — the emitted schedule replays cleanly
-//!    through [`validate_moves`] under the requested budget, and the
-//!    replayed cost equals the schedule's own cost claim.
-//! 3. **Bound gap (Prop. 2.4)** — the replayed cost sits at or above
-//!    [`algorithmic_lower_bound`]; the observed gap ratio is *recorded*
-//!    (not asserted) so the report quantifies how far the heuristics sit
-//!    from the information-theoretic floor.
+//!    through the validator, the occupancy trace and the executable
+//!    machine under the requested budget, and the replayed cost equals the
+//!    scheduler's own cost claim.
+//! 3. **Bound gap (Prop. 2.4)** — the replayed cost sits at or above the
+//!    algorithmic lower bound; the observed gap ratio is *recorded* (not
+//!    asserted) so the report quantifies how far the heuristics sit from
+//!    the information-theoretic floor.
+//! 4. **Metamorphic** — weight scaling and relabeling carry each schedule
+//!    to an equally valid one of the predicted cost.
 //!
-//! There is no exact cross-check and no randomness: every check is a pure
-//! function of `(graph, budget)`, which is what lets [`run_streaming`]
-//! hand failing cases to the same greedy shrinker the exact regime uses.
+//! The exact cross-check these schedulers owe on small graphs
+//! (`beats-exact`) is the exact regime's: both are in the registry it
+//! fuzzes.
+//!
+//! [`min_feasible_budget`]: pebblyn_core::min_feasible_budget
 
-use crate::gen::generate;
-use crate::oracle::{budget_probes, Violation};
-use crate::shrink;
-use crate::{Config, Failure};
-use pebblyn_core::{algorithmic_lower_bound, min_feasible_budget, validate_moves, Cdag, Weight};
-use pebblyn_engine::par::par_map;
-use pebblyn_graphs::AnyGraph;
-use pebblyn_schedulers::{by_name, ScheduleError, Scheduler};
-use pebblyn_telemetry as telemetry;
+use pebblyn_schedulers::{by_name, Scheduler};
 
 /// The schedulers this regime certifies, resolved from the live registry
 /// so the regime and the CLI can never disagree about what "streaming"
@@ -49,270 +47,25 @@ pub fn streaming_schedulers() -> Vec<&'static dyn Scheduler> {
         .collect()
 }
 
-/// One feasible probe's observed distance from the Prop. 2.4 floor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GapSample {
-    /// Replayed schedule cost (weighted I/O bits).
-    pub cost: Weight,
-    /// [`algorithmic_lower_bound`] of the probed graph.
-    pub lower_bound: Weight,
-}
-
-impl GapSample {
-    /// `cost / lower_bound` — `1.0` means the heuristic hit the floor.
-    ///
-    /// The lower bound is strictly positive on every valid CDAG (sources
-    /// and sinks have positive weights), so the ratio is always finite.
-    pub fn ratio(&self) -> f64 {
-        self.cost as f64 / self.lower_bound as f64
-    }
-}
-
-/// Aggregate report of one streaming-regime run.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingReport {
-    /// Cases checked.
-    pub cases: u64,
-    /// Total `(scheduler, budget)` probes across all cases.
-    pub probes: usize,
-    /// Probes at or above the Prop. 2.3 minimum (each contributes one
-    /// [`GapSample`] unless it failed).
-    pub feasible_probes: usize,
-    /// Largest observed `cost / lower_bound` ratio.
-    pub worst_gap: f64,
-    /// Mean observed `cost / lower_bound` ratio over feasible probes.
-    pub mean_gap: f64,
-    /// Failing cases, shrunk exactly like the exact regime's.
-    pub failures: Vec<Failure>,
-}
-
-impl StreamingReport {
-    /// `true` when no case violated any streaming invariant.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Check both streaming schedulers on one `(graph, budget)` probe.
-///
-/// Returns the recorded violations plus one [`GapSample`] per scheduler
-/// that produced a valid feasible schedule.  Pure — no RNG, no exact
-/// solver — so the shrinker can re-invoke it freely.
-pub fn check_streaming_graph_at(
-    g: &Cdag,
-    budget: Weight,
-    schedulers: &[&dyn Scheduler],
-) -> (Vec<Violation>, Vec<GapSample>) {
-    let minb = min_feasible_budget(g);
-    let lb = algorithmic_lower_bound(g);
-    let any = AnyGraph::custom("streaming", g.clone());
-    let mut violations = Vec::new();
-    let mut gaps = Vec::new();
-
-    for s in schedulers {
-        telemetry::incr(telemetry::Counter::Probes);
-        match s.schedule(&any, budget) {
-            Ok(schedule) => {
-                if budget < minb {
-                    violations.push(Violation {
-                        check: "phantom-feasibility",
-                        scheduler: s.name().to_string(),
-                        budget,
-                        detail: format!(
-                            "produced a schedule below the Prop. 2.3 minimum ({minb} bits)"
-                        ),
-                    });
-                    continue;
-                }
-                let stats = match validate_moves(g, budget, schedule.iter()) {
-                    Ok(stats) => stats,
-                    Err(e) => {
-                        violations.push(Violation {
-                            check: "invalid-schedule",
-                            scheduler: s.name().to_string(),
-                            budget,
-                            detail: format!("replay rejected: {e}"),
-                        });
-                        continue;
-                    }
-                };
-                let claimed = schedule.cost(g);
-                if stats.cost != claimed {
-                    violations.push(Violation {
-                        check: "cost-claim-mismatch",
-                        scheduler: s.name().to_string(),
-                        budget,
-                        detail: format!(
-                            "schedule claims cost {claimed}, replay measured {}",
-                            stats.cost
-                        ),
-                    });
-                    continue;
-                }
-                if stats.cost < lb {
-                    violations.push(Violation {
-                        check: "below-lower-bound",
-                        scheduler: s.name().to_string(),
-                        budget,
-                        detail: format!("cost {} < algorithmic lower bound {lb}", stats.cost),
-                    });
-                    continue;
-                }
-                gaps.push(GapSample {
-                    cost: stats.cost,
-                    lower_bound: lb,
-                });
-            }
-            Err(ScheduleError::InfeasibleBudget { min_feasible }) => {
-                if budget >= minb {
-                    violations.push(Violation {
-                        check: "streaming-infeasible",
-                        scheduler: s.name().to_string(),
-                        budget,
-                        detail: format!(
-                            "declined a feasible budget (Prop. 2.3 minimum is {minb} bits)"
-                        ),
-                    });
-                } else if min_feasible != Some(minb) {
-                    violations.push(Violation {
-                        check: "infeasible-hint-wrong",
-                        scheduler: s.name().to_string(),
-                        budget,
-                        detail: format!(
-                            "hint {min_feasible:?} disagrees with the Prop. 2.3 minimum {minb}"
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
-                violations.push(Violation {
-                    check: "streaming-unsupported",
-                    scheduler: s.name().to_string(),
-                    budget,
-                    detail: format!("streaming schedulers support every CDAG, got: {e}"),
-                });
-            }
-        }
-    }
-    (violations, gaps)
-}
-
-/// Check one graph across the oracle's feasibility-aware budget probes.
-pub fn check_streaming_graph(
-    g: &Cdag,
-    schedulers: &[&dyn Scheduler],
-) -> (usize, Vec<Violation>, Vec<GapSample>) {
-    let mut probes = 0usize;
-    let mut violations = Vec::new();
-    let mut gaps = Vec::new();
-    for b in budget_probes(g) {
-        probes += schedulers.len();
-        let (v, mut g_samples) = check_streaming_graph_at(g, b, schedulers);
-        violations.extend(v);
-        gaps.append(&mut g_samples);
-    }
-    (probes, violations, gaps)
-}
-
-/// Run the STREAMING regime: generate `cfg.cases` cases from the same
-/// `(seed, index)` space as the exact regime and certify the streaming
-/// invariants on each, shrinking any failures.
-pub fn run_streaming(cfg: &Config) -> StreamingReport {
-    let schedulers = streaming_schedulers();
-    let indices: Vec<u64> = (0..cfg.cases).collect();
-    let outcomes = par_map(&indices, |&idx| {
-        let case = generate(cfg.seed, idx);
-        let minb = min_feasible_budget(&case.graph);
-        let feasible = budget_probes(&case.graph)
-            .into_iter()
-            .filter(|&b| b >= minb)
-            .count()
-            * schedulers.len();
-        let (probes, violations, gaps) = check_streaming_graph(&case.graph, &schedulers);
-        (case, probes, feasible, violations, gaps)
-    });
-
-    let mut report = StreamingReport {
-        cases: cfg.cases,
-        ..StreamingReport::default()
-    };
-    let mut gap_sum = 0.0f64;
-    let mut gap_count = 0usize;
-    for (case, probes, feasible, violations, gaps) in outcomes {
-        report.probes += probes;
-        report.feasible_probes += feasible;
-        for g in gaps {
-            let r = g.ratio();
-            report.worst_gap = report.worst_gap.max(r);
-            gap_sum += r;
-            gap_count += 1;
-        }
-        if !violations.is_empty() {
-            report
-                .failures
-                .push(shrink_streaming_failure(&case, violations, &schedulers));
-        }
-    }
-    if gap_count > 0 {
-        report.mean_gap = gap_sum / gap_count as f64;
-    }
-    report
-}
-
-/// Minimize one failing streaming case.
-///
-/// Mirrors the exact regime's `shrink_failure`: shrink `(graph, budget)`
-/// while the same named check keeps failing.  Streaming checks are pure
-/// per-budget invariants (there is no sweep-level relation like
-/// monotonicity), so every violation reproduces at its recorded budget
-/// and the shrinker may minimize the budget too.
-fn shrink_streaming_failure(
-    case: &crate::TestCase,
-    violations: Vec<Violation>,
-    schedulers: &[&dyn Scheduler],
-) -> Failure {
-    let first = violations[0].clone();
-    let check = first.check;
-
-    let shrunk = shrink::shrink(&case.graph, first.budget, |g, b| {
-        check_streaming_graph_at(g, b, schedulers)
-            .0
-            .iter()
-            .any(|v| v.check == check)
-    });
-
-    let shrunk_detail = check_streaming_graph_at(&shrunk.graph, shrunk.budget, schedulers)
-        .0
-        .into_iter()
-        .find(|v| v.check == check)
-        .map(|v| v.to_string())
-        .unwrap_or_else(|| format!("[{check}] (reproduces only on the unshrunk case)"));
-
-    Failure {
-        spec: case.spec,
-        label: case.label(),
-        violations,
-        shrunk,
-        shrunk_detail,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{GapSample, OracleConfig};
+    use crate::rng::SplitRng;
+    use crate::{drive, run_regime, Config, Regime};
     use pebblyn_core::CdagBuilder;
 
     fn small_cfg() -> Config {
         Config {
             seed: 3,
             cases: 24,
-            ..Config::default()
+            oracle: OracleConfig::default().with_exhaustive_max_nodes(0),
         }
     }
 
     #[test]
     fn registry_streaming_pair_is_clean_on_a_small_run() {
-        let report = run_streaming(&small_cfg());
+        let report = run_regime(&small_cfg(), Regime::Oracle(&streaming_schedulers()));
         assert!(
             report.is_clean(),
             "violations: {:#?}",
@@ -323,6 +76,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(report.cases, 24);
+        assert_eq!(report.exact_certified + report.exact_skipped, 0);
         assert!(report.feasible_probes > 0, "nothing was probed feasibly");
         assert!(
             report.worst_gap >= 1.0,
@@ -334,8 +88,9 @@ mod tests {
 
     #[test]
     fn streaming_runs_are_deterministic() {
-        let a = run_streaming(&small_cfg());
-        let b = run_streaming(&small_cfg());
+        let schedulers = streaming_schedulers();
+        let a = run_regime(&small_cfg(), Regime::Oracle(&schedulers));
+        let b = run_regime(&small_cfg(), Regime::Oracle(&schedulers));
         assert_eq!(a.probes, b.probes);
         assert_eq!(a.feasible_probes, b.feasible_probes);
         assert_eq!(a.worst_gap, b.worst_gap);
@@ -351,18 +106,14 @@ mod tests {
         let mutant = &mutants::all()[3]; // phantom-feasible: schedules below minb
         let schedulers: Vec<&dyn Scheduler> = vec![mutant.as_ref()];
         let cfg = small_cfg();
-        for idx in 0..cfg.cases {
-            let case = generate(cfg.seed, idx);
-            let (_, violations, _) = check_streaming_graph(&case.graph, &schedulers);
-            if violations.is_empty() {
-                continue;
-            }
-            let failure = shrink_streaming_failure(&case, violations, &schedulers);
-            assert!(!failure.shrunk_detail.is_empty());
-            assert!(failure.shrunk.graph.len() <= case.graph.len());
-            return;
-        }
-        panic!("no mutant violation found in {} cases", cfg.cases);
+        let report = drive(&cfg, Regime::Oracle(&schedulers), true);
+        let failure = report
+            .failures
+            .first()
+            .unwrap_or_else(|| panic!("no mutant violation found in {} cases", cfg.cases));
+        assert!(!failure.shrunk_detail.is_empty());
+        let original = crate::generate(cfg.seed, failure.spec.index);
+        assert!(failure.shrunk.graph.len() <= original.graph.len());
     }
 
     #[test]
@@ -387,9 +138,15 @@ mod tests {
         b.edge(y, z);
         let g = b.build().unwrap();
         let schedulers = streaming_schedulers();
-        let (probes, violations, gaps) = check_streaming_graph(&g, &schedulers);
-        assert!(violations.is_empty(), "{violations:#?}");
-        assert!(probes >= gaps.len());
-        assert!(gaps.iter().all(|s| s.ratio() >= 1.0));
+        let regime = Regime::Oracle(&schedulers);
+        let out = regime.check(
+            &g,
+            &regime.sweep(&g),
+            &small_cfg().oracle,
+            &mut SplitRng::new(1),
+        );
+        assert!(out.violations.is_empty(), "{:#?}", out.violations);
+        assert!(out.probes >= out.gaps.len());
+        assert!(out.gaps.iter().all(|s| s.ratio() >= 1.0));
     }
 }
