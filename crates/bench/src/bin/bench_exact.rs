@@ -1,6 +1,6 @@
 //! Exact-search micro-benchmark: the bound-guided A\* against the plain
-//! Dijkstra baseline it replaced, plus the wide-mask / symmetry / thread
-//! check that certifies the post-64-node solver.
+//! Dijkstra baseline it replaced, plus the wide-mask / symmetry check that
+//! certifies the post-64-node solver.
 //!
 //! **Section 1 (legacy races).**  For each ≤ 64-node certification-suite
 //! workload the binary runs both solvers at the same budget and reports
@@ -13,16 +13,15 @@
 //!
 //! **Section 2 (wide ablation).**  A 72-node diamond chain — past the old
 //! `u64` wall, so it runs on `Words<2>` masks — is solved with symmetry
-//! reduction off and on, and then at 1 and 8 worker threads, asserting the
-//! thread count changes *nothing* (cost, every statistic, the steal count).
-//! "Symmetry off" is the A\* reconstructing its schedule, which suspends
-//! the reduction and leaves the rest of the search as it is.
+//! reduction off and on.  "Symmetry off" is the A\* reconstructing its
+//! schedule, which suspends the reduction and leaves the rest of the
+//! search as it is.
 //!
 //! Expanded-state counts are deterministic on any host; wall times are
 //! same-host single-run measurements and only meaningful as ratios.
 //! `--records <FILE>` additionally writes every run's deterministic fields
-//! (no wall times) as JSON — CI re-runs the bench at several thread counts
-//! and byte-diffs the records.
+//! (no wall times) as JSON — CI runs the bench twice and byte-diffs the
+//! records.
 
 use pebblyn::exact::{ExactError, ExactSolver, SearchStats, Solution};
 use pebblyn::prelude::*;
@@ -108,7 +107,7 @@ fn run(solve: impl FnOnce() -> Result<Solution, ExactError>) -> Run {
 
 /// Deterministic fields of one solve, serialized for the `--records` file.
 /// Deliberately excludes wall times and anything else host-dependent:
-/// CI byte-diffs these records across thread counts.
+/// CI byte-diffs these records across runs.
 fn record(name: &str, config: &str, budget: Weight, r: &Run) -> String {
     let st = &r.stats;
     format!(
@@ -122,8 +121,6 @@ fn record(name: &str, config: &str, budget: Weight, r: &Run) -> String {
       "dominated": {dominated},
       "deduped": {deduped},
       "symmetry_pruned": {symmetry_pruned},
-      "batches": {batches},
-      "frontier_steals": {frontier_steals},
       "peak_open": {peak_open},
       "re_expansions": {re_expanded},
       "frontier_left": {frontier_left},
@@ -136,27 +133,12 @@ fn record(name: &str, config: &str, budget: Weight, r: &Run) -> String {
         dominated = st.dominated,
         deduped = st.deduped,
         symmetry_pruned = st.symmetry_pruned,
-        batches = st.batches,
-        frontier_steals = st.frontier_steals,
         peak_open = st.peak_open,
         re_expanded = st.re_expanded,
         frontier_left = st.frontier_left,
         root_bound = st.root_bound,
         mask_words = st.mask_words,
     )
-}
-
-/// Run `f` with the worker pool pinned to `threads` via `RAYON_NUM_THREADS`
-/// (the highest-priority knob), restoring the previous value after.
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let r = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    r
 }
 
 fn main() {
@@ -263,8 +245,8 @@ fn main() {
     assert_eq!(wide.len(), 72, "the wide case must cross the 64-node wall");
     println!("\nwide ablation: 72-node diamond chain, budget {wide_budget} (Words<2> masks)\n");
     println!(
-        "{:<22} {:>12} {:>12} {:>10} {:>8}",
-        "config", "states", "sym prunes", "steals", "ms"
+        "{:<22} {:>12} {:>12} {:>8}",
+        "config", "states", "sym prunes", "ms"
     );
 
     if telemetry_on {
@@ -287,26 +269,12 @@ fn main() {
         sym_on.stats.expanded < sym_off.stats.expanded,
         "orbit collapsing must shrink the search"
     );
-    let t1 = with_threads(1, || run(|| astar.solve(&wide, wide_budget)));
-    let t8 = with_threads(8, || run(|| astar.solve(&wide, wide_budget)));
-    assert_eq!(t1.cost, t8.cost, "thread count changed the optimum");
-    assert_eq!(
-        t1.stats, t8.stats,
-        "thread count changed the search trajectory"
-    );
     push_record("diamond72", "sym_off", wide_budget, &sym_off);
     push_record("diamond72", "sym_on", wide_budget, &sym_on);
-    push_record("diamond72", "sym_on_threads1", wide_budget, &t1);
-    push_record("diamond72", "sym_on_threads8", wide_budget, &t8);
-    for (label, r) in [
-        ("sym_off", &sym_off),
-        ("sym_on", &sym_on),
-        ("sym_on @1 thread", &t1),
-        ("sym_on @8 threads", &t8),
-    ] {
+    for (label, r) in [("sym_off", &sym_off), ("sym_on", &sym_on)] {
         println!(
-            "{:<22} {:>12} {:>12} {:>10} {:>8.1}",
-            label, r.stats.expanded, r.stats.symmetry_pruned, r.stats.frontier_steals, r.ms
+            "{:<22} {:>12} {:>12} {:>8.1}",
+            label, r.stats.expanded, r.stats.symmetry_pruned, r.ms
         );
     }
 
@@ -320,27 +288,20 @@ fn main() {
       "mask_words": 2,
       "sym_off_states_expanded": {off},
       "sym_on_states_expanded": {on},
-      "symmetry_pruned": {pruned},
-      "frontier_steals": {steals},
-      "threads1_states_expanded": {t1s},
-      "threads8_states_expanded": {t8s},
-      "thread_invariant": {inv}
+      "symmetry_pruned": {pruned}
     }}"#,
         cost = sym_on.cost.unwrap(),
         off = sym_off.stats.expanded,
         on = sym_on.stats.expanded,
         pruned = sym_on.stats.symmetry_pruned,
-        steals = sym_on.stats.frontier_steals,
-        t1s = t1.stats.expanded,
-        t8s = t8.stats.expanded,
-        inv = t1.stats == t8.stats,
     );
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let json = format!(
         r#"{{
-  "description": "Exact-solver search benchmark. 'benchmarks': expanded states and wall time for the plain Dijkstra baseline (no heuristic, no dominance, raw four-move successors, no symmetry — the pre-A* solver) vs the bound-guided A* (landmark-pdb bound, dominance pruning, macro moves, WL-orbit symmetry reduction, partial expansion); all four cases dispatch to the u64 fast path (mask_words 1). 'wide_ablation': a 72-node diamond chain past the old 64-node u64 wall, solved on Words<2> masks with symmetry off (the A* reconstructing its schedule) and on, and at 1 vs 8 worker threads (thread_invariant asserts identical stats). States-expanded counts are deterministic; wall times are single-run same-host measurements and only the ratios are meaningful across machines. before_hit_state_cap means the baseline exceeded 5M expansions and its count is a lower bound.",
-  "date": "2026-08-09",
-  "host": "linux x86_64, 1 CPU",
+  "description": "Exact-solver search benchmark. 'benchmarks': expanded states and wall time for the plain Dijkstra baseline (no heuristic, no dominance, raw four-move successors, no symmetry — the pre-A* solver) vs the bound-guided serial A* (landmark-pdb bound, dominance pruning, macro moves, WL-orbit symmetry reduction); all four cases dispatch to the u64 fast path (mask_words 1). 'wide_ablation': a 72-node diamond chain past the old 64-node u64 wall, solved on Words<2> masks with symmetry off (the A* reconstructing its schedule) and on. States-expanded counts are deterministic; wall times are single-run same-host measurements and only the ratios are meaningful across machines. before_hit_state_cap means the baseline exceeded 5M expansions and its count is a lower bound.",
+  "host": "{os} {arch}",
+  "cpus": {cpus},
   "command": "cargo run --release -p pebblyn-bench --bin bench_exact",
   "benchmarks": [
 {entries}
@@ -349,7 +310,9 @@ fn main() {
 {ablation}
   ]
 }}
-"#
+"#,
+        os = std::env::consts::OS,
+        arch = std::env::consts::ARCH,
     );
     let path = results_dir().join("bench_exact.json");
     std::fs::write(&path, json).expect("write bench_exact.json");
@@ -357,7 +320,7 @@ fn main() {
 
     if let Some(rp) = records_path {
         let body = format!(
-            "{{\n  \"description\": \"Deterministic per-solve records (no wall times); byte-identical at any thread count.\",\n  \"records\": [\n{records}\n  ]\n}}\n"
+            "{{\n  \"description\": \"Deterministic per-solve records (no wall times); byte-identical on every run.\",\n  \"records\": [\n{records}\n  ]\n}}\n"
         );
         std::fs::write(&rp, body).unwrap_or_else(|e| panic!("write {rp}: {e}"));
         println!("[records] {rp}");

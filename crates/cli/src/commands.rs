@@ -435,7 +435,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             say!(
                 out,
                 "solver:      A* · landmark-pdb bound · dominance · macro moves · twin + WL \
-                 symmetry · partial expansion"
+                 symmetry"
             );
             let sol = solver.solve(cdag, budget)?;
             let st = sol.stats;
@@ -454,9 +454,8 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             );
             say!(
                 out,
-                "expanded:    {} states over {} batches ({} generated, {} re-expansions)",
+                "expanded:    {} states ({} generated, {} re-expansions)",
                 st.expanded,
-                st.batches,
                 st.generated,
                 st.re_expanded
             );
@@ -471,11 +470,9 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             );
             say!(
                 out,
-                "frontier:    {} open at exit · peak {} · {} steals \
-                 ({}-word state masks)",
+                "frontier:    {} open at exit · peak {} ({}-word state masks)",
                 st.frontier_left,
                 st.peak_open,
-                st.frontier_steals,
                 st.mask_words
             );
             Ok(())

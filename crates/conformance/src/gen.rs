@@ -114,8 +114,8 @@ pub struct SizeProfile {
 /// 12 nodes, the bound-guided A\* (dominance pruning + macro moves) raised
 /// it to 16, twin-orbit symmetry reduction on the mask-generic search to
 /// 20, and the landmark/PDB lower-bound tier plus certified WL-orbit
-/// generators and partial expansion raise it to 24 under the same 5M-state
-/// cap and CI wall-clock guard.
+/// generators raise it to 24 under the same 5M-state cap and CI wall-clock
+/// guard.
 pub const EXHAUSTIVE: SizeProfile = SizeProfile {
     min_nodes: 3,
     max_nodes: 24,

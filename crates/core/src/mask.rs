@@ -82,14 +82,6 @@ pub trait StateMask:
     /// Index of the lowest set bit, or `None` when empty.
     fn lowest_set(self) -> Option<usize>;
 
-    /// The `i`-th 64-bit word (`i < WORDS`).
-    ///
-    /// Exposed so callers can hash exactly the words a graph occupies:
-    /// hashing `ceil(n/64)` words gives the same digest whatever the mask
-    /// width, which keeps shard routing — and therefore the whole search —
-    /// identical between `u64` and `Words<N>` runs on small graphs.
-    fn word(self, i: usize) -> u64;
-
     /// Whether `self` contains every bit of `other`.
     #[inline]
     fn contains_all(self, other: Self) -> bool {
@@ -128,12 +120,6 @@ impl StateMask for u64 {
     #[inline]
     fn lowest_set(self) -> Option<usize> {
         (self != 0).then(|| self.trailing_zeros() as usize)
-    }
-
-    #[inline]
-    fn word(self, i: usize) -> u64 {
-        debug_assert_eq!(i, 0);
-        self
     }
 }
 
@@ -246,11 +232,6 @@ impl<const N: usize> StateMask for Words<N> {
             .find(|(_, &w)| w != 0)
             .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
     }
-
-    #[inline]
-    fn word(self, i: usize) -> u64 {
-        self.0[i]
-    }
 }
 
 /// Iterate the set bits of any [`StateMask`] in ascending node order.
@@ -293,7 +274,6 @@ mod tests {
         assert_eq!(m.lowest_set(), Some(2));
         assert_eq!(u64::bit(7), 0b1000_0000);
         assert!(u64::empty().is_empty());
-        assert_eq!(m.word(0), m);
         assert!(m.contains_all(0b0011_0100));
         assert!(!m.contains_all(0b0000_0011));
     }
@@ -303,9 +283,7 @@ mod tests {
         type M = Words<3>;
         let m = M::bit(0) | M::bit(64) | M::bit(191);
         assert!(m.get(64) && !m.get(63));
-        assert_eq!(m.word(0), 1);
-        assert_eq!(m.word(1), 1);
-        assert_eq!(m.word(2), 1u64 << 63);
+        assert_eq!(m.0, [1, 1, 1u64 << 63]);
         assert_eq!(m.clear(64).lowest_set(), Some(0));
         assert_eq!(m.clear(0).lowest_set(), Some(64));
         assert!((m & !m).is_empty());

@@ -15,9 +15,7 @@ pub mod memo;
 pub mod par;
 pub mod plan;
 pub mod result;
-pub mod shard;
 
 pub use memo::Memo;
 pub use plan::{log_budgets, BudgetSpec, MinMemoryEntry, MinMemoryPlan, Series, SweepPlan};
 pub use result::{MinMemoryResult, MinMemoryRow, SweepResult, SweepRow};
-pub use shard::ShardedWorklist;

@@ -78,86 +78,6 @@ where
     })
 }
 
-/// Hash-distributed order-preserving parallel map (HDA\*-style expansion).
-///
-/// Every item is *owned* by one of `owners` virtual shards, selected by
-/// `hints[i] % owners` — the same hash-routing the sharded open list uses —
-/// and each shard's items are expanded as one task.  Hash ownership alone
-/// can leave shards idle while one shard drags the whole round, so a
-/// **deterministic rebalance** runs first: each shard keeps at most
-/// `ceil(len / owners)` items and donates its overflow (highest input
-/// indices first) to the underloaded shards in ascending shard order.  Each
-/// donated item counts as one *steal*.
-///
-/// Both the assignment and the rebalance are pure functions of
-/// `(hints, owners)` — never of the physical thread count or of timing —
-/// so the returned results (always in input order) **and** the steal count
-/// are byte-identical whether the pool runs 1 or 64 threads.  That is the
-/// property that lets the exact solver report `frontier_steals` as a
-/// deterministic per-search statistic.
-///
-/// Returns `(results, steals)` with `results[i] = f(&items[i])`.
-///
-/// # Panics
-///
-/// Panics when `hints.len() != items.len()` or `owners == 0`.
-pub fn par_map_hash_distributed<T, R, F>(
-    items: &[T],
-    hints: &[u64],
-    owners: usize,
-    f: F,
-) -> (Vec<R>, u64)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert_eq!(hints.len(), items.len(), "one owner hint per item");
-    assert!(owners > 0, "at least one owner shard");
-    if items.len() <= 1 {
-        return (items.iter().map(f).collect(), 0);
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); owners];
-    for (i, &hint) in hints.iter().enumerate() {
-        buckets[(hint % owners as u64) as usize].push(i);
-    }
-    // Deterministic rebalance: cap every bucket at ceil(len/owners); the
-    // overflow queue drains into underloaded buckets in ascending order.
-    let target = items.len().div_ceil(owners);
-    let mut overflow: Vec<usize> = Vec::new();
-    for bucket in &mut buckets {
-        if bucket.len() > target {
-            overflow.extend(bucket.drain(target..));
-        }
-    }
-    let steals = overflow.len() as u64;
-    let mut spill = overflow.into_iter();
-    for bucket in &mut buckets {
-        while bucket.len() < target {
-            let Some(i) = spill.next() else { break };
-            bucket.push(i);
-        }
-    }
-    debug_assert!(spill.next().is_none(), "rebalance places every item");
-
-    let per_bucket = par_map(&buckets, |idxs| {
-        idxs.iter().map(|&i| (i, f(&items[i]))).collect::<Vec<_>>()
-    });
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for pairs in per_bucket {
-        for (i, r) in pairs {
-            results[i] = Some(r);
-        }
-    }
-    (
-        results
-            .into_iter()
-            .map(|r| r.expect("every item expanded by exactly one owner"))
-            .collect(),
-        steals,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,40 +100,5 @@ mod tests {
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(64) >= 1);
-    }
-
-    #[test]
-    fn hash_distributed_preserves_order_and_covers_every_item() {
-        let items: Vec<u64> = (0..100).collect();
-        let hints: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9e37)).collect();
-        let (out, _) = par_map_hash_distributed(&items, &hints, 8, |&x| x * 3);
-        assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn hash_distributed_steals_are_deterministic_functions_of_hints() {
-        let items: Vec<u64> = (0..64).collect();
-        // All hints collide on owner 0: everything beyond ceil(64/8) = 8
-        // items must be stolen, every run, at any thread count.
-        let hints = vec![0u64; 64];
-        let (out1, steals1) = par_map_hash_distributed(&items, &hints, 8, |&x| x + 1);
-        let (out2, steals2) = par_map_hash_distributed(&items, &hints, 8, |&x| x + 1);
-        assert_eq!(steals1, 64 - 8);
-        assert_eq!(steals1, steals2);
-        assert_eq!(out1, out2);
-        // Perfectly spread hints steal nothing.
-        let spread: Vec<u64> = (0..64).collect();
-        let (_, steals) = par_map_hash_distributed(&items, &spread, 8, |&x| x);
-        assert_eq!(steals, 0);
-    }
-
-    #[test]
-    fn hash_distributed_handles_empty_and_single() {
-        let (out, steals) = par_map_hash_distributed(&[] as &[u8], &[], 8, |&x| x);
-        assert_eq!(out, Vec::<u8>::new());
-        assert_eq!(steals, 0);
-        let (out, steals) = par_map_hash_distributed(&[7u8], &[3], 8, |&x| x + 1);
-        assert_eq!(out, vec![8]);
-        assert_eq!(steals, 0);
     }
 }

@@ -26,7 +26,9 @@
 //! strictly more stores in fewer or equally many I/O moves, which the cost
 //! model prices out except in degenerate zero-scale configurations.  Each
 //! bucket is maintained as a Pareto antichain: recording a pair evicts every
-//! pair it dominates, so buckets stay small.
+//! pair it dominates, so buckets stay small.  The store keeps a running
+//! count of its pairs, so the search can read its size after every
+//! expansion without walking the buckets.
 //!
 //! The store is generic over the state's [`StateMask`] width; the subset
 //! probe is [`StateMask::contains_all`], which for `u64` lowers to the
@@ -38,12 +40,15 @@ use pebblyn_core::{FastHashMap, StateMask, Weight};
 #[derive(Debug)]
 pub(crate) struct DominanceStore<M: StateMask> {
     buckets: FastHashMap<M, Vec<(M, Weight)>>,
+    /// Total recorded pairs across all buckets.
+    len: usize,
 }
 
 impl<M: StateMask> Default for DominanceStore<M> {
     fn default() -> Self {
         DominanceStore {
             buckets: FastHashMap::default(),
+            len: 0,
         }
     }
 }
@@ -64,15 +69,26 @@ impl<M: StateMask> DominanceStore<M> {
     /// pair whose pruning power the new one subsumes (`red ⊇ r`, `g ≤ rg`:
     /// anything the old pair strictly dominates, the new one does too), so
     /// the bucket stays a Pareto antichain.
-    pub(crate) fn record(&mut self, red: M, blue: M, g: Weight) {
+    ///
+    /// Returns whether an evicted pair had this very red mask, i.e. the
+    /// same state was recorded before at a cost no lower than `g`.
+    pub(crate) fn record(&mut self, red: M, blue: M, g: Weight) -> bool {
         let bucket = self.buckets.entry(blue).or_default();
-        bucket.retain(|&(r, rg)| !(red.contains_all(r) && g <= rg));
+        let before = bucket.len();
+        let mut same_state = false;
+        bucket.retain(|&(r, rg)| {
+            let evict = red.contains_all(r) && g <= rg;
+            same_state |= evict && r == red;
+            !evict
+        });
+        self.len = self.len - (before - bucket.len()) + 1;
         bucket.push((red, g));
+        same_state
     }
 
     /// Total recorded pairs across all buckets (for statistics).
     pub(crate) fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.len
     }
 }
 
@@ -80,6 +96,14 @@ impl<M: StateMask> DominanceStore<M> {
 mod tests {
     use super::*;
     use pebblyn_core::Words;
+
+    /// Tiny deterministic xorshift stream for the random record sequences.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
 
     #[test]
     fn superset_at_strictly_lower_cost_dominates() {
@@ -121,5 +145,26 @@ mod tests {
             !d.dominated(M::bit(65), M::bit(71), 11),
             "other blue bucket"
         );
+    }
+
+    #[test]
+    fn running_count_and_reopen_flag_match_a_full_recount() {
+        // Small masks and costs, so sequences revisit states and evict often.
+        for seed in 1..=64u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut d = DominanceStore::<u64>::default();
+            for _ in 0..200 {
+                let red = xorshift(&mut rng) & 0b1111;
+                let blue = xorshift(&mut rng) & 0b11;
+                let g = xorshift(&mut rng) % 8;
+                let reopened = d
+                    .buckets
+                    .get(&blue)
+                    .is_some_and(|b| b.iter().any(|&(r, rg)| r == red && g <= rg));
+                assert_eq!(d.record(red, blue, g), reopened, "seed {seed}");
+                let recount: usize = d.buckets.values().map(Vec::len).sum();
+                assert_eq!(d.len(), recount, "seed {seed}");
+            }
+        }
     }
 }

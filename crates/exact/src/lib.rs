@@ -26,19 +26,15 @@
 //!   automorphism orbits found by [`pebblyn_core::twin_classes`]) and the
 //!   orbits of certified automorphism generators are collapsed by
 //!   rewriting every generated state to a canonical form, so states that
-//!   differ only by which twin holds a pebble are searched once;
+//!   differ only by which twin holds a pebble are searched once.
 //!
-//! and **partial expansion** (PEA\*) keeps successors above the parent's
-//! f-value out of the open list until the search needs them.
-//!
-//! Frontier expansion is batched and hash-distributed
-//! ([`pebblyn_engine::par::par_map_hash_distributed`], HDA\*-style): each
-//! frontier state is expanded by the virtual shard owning its state hash,
-//! with a deterministic steal rebalance, so results (costs, schedules, and
-//! every statistic including the steal count) are byte-identical for any
-//! thread count.  [`ExactSolver::dijkstra_baseline`] turns all of the above
-//! off at once — uniform-cost Dijkstra over the raw four-move game — and is
-//! the independent oracle the conformance tests certify the A\* against.
+//! The search is a plain serial A\*: it pops the single best open entry,
+//! expands it on the calling thread and merges its successors before the
+//! next pop, so results (costs, schedules, and every statistic) are a pure
+//! function of the graph, the budget and the configuration.
+//! [`ExactSolver::dijkstra_baseline`] turns all of the above off at once —
+//! uniform-cost Dijkstra over the raw four-move game — and is the
+//! independent oracle the conformance tests certify the A\* against.
 //!
 //! Its purpose in this workspace is **certification**: property tests assert
 //! that the dataflow-specific dynamic programs of `pebblyn-schedulers`
@@ -171,7 +167,7 @@ impl From<StateLimitExceeded> for ExactError {
 }
 
 /// Counters describing one search run; all deterministic for a fixed
-/// solver configuration, graph, and budget — independent of thread count.
+/// solver configuration, graph, and budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// States popped from the open list and expanded.
@@ -187,20 +183,18 @@ pub struct SearchStats {
     /// state by symmetry reduction (each rewrite merges an orbit sibling
     /// into its representative).
     pub symmetry_pruned: usize,
-    /// Parallel expansion rounds driven through the sharded worklist.
-    pub batches: usize,
-    /// Frontier items expanded by a virtual shard other than their hash
-    /// owner (the deterministic rebalance of hash-distributed expansion).
-    pub frontier_steals: u64,
-    /// Largest open-list size observed after a merge.
+    /// Largest open-list size observed after an expansion's merge.
     pub peak_open: usize,
     /// Largest Pareto-antichain size of the dominance store.
     pub dominance_entries: usize,
     /// Open-list entries still queued when the goal was settled.
     pub frontier_left: usize,
-    /// Partial-expansion re-pops: deferred parents popped a second (or
-    /// later) time at the f-value of their best unmaterialized successor.
-    /// A subset of `expanded`; zero for the Dijkstra baseline.
+    /// Reopenings: states expanded again after a strictly cheaper path to
+    /// them was found, which only an inconsistent bound allows.  Counted
+    /// when the state's new dominance record evicts its own earlier one, so
+    /// a reopened state whose earlier record a dominating state already
+    /// evicted is missed.  A subset of `expanded`; zero for the Dijkstra
+    /// baseline.
     pub re_expanded: usize,
     /// The admissible lower bound evaluated at the start state.
     pub root_bound: Weight,
@@ -227,7 +221,7 @@ pub struct Solution {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     /// Bound-guided A\*: landmark-pdb bound, dominance pruning, macro
-    /// moves, twin + certified-WL symmetry, partial expansion.
+    /// moves, twin + certified-WL symmetry.
     AStar,
     /// Uniform-cost Dijkstra over the raw four-move game, nothing pruned.
     Dijkstra,
@@ -279,8 +273,8 @@ impl ExactSolver {
     }
 
     /// The uniform-cost Dijkstra the A\* replaced: no heuristic, no
-    /// dominance, raw four-move successors, no symmetry reduction, full
-    /// expansion.  The differential oracle certifying the A\*.
+    /// dominance, raw four-move successors, no symmetry reduction.  The
+    /// differential oracle certifying the A\*.
     pub fn dijkstra_baseline() -> Self {
         ExactSolver {
             mode: Mode::Dijkstra,
@@ -592,11 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn search_is_deterministic_across_thread_counts() {
-        // par_map splits batches by PEBBLYN_THREADS; results and stats must
-        // not depend on it.  (Thread count is process-wide env, so we only
-        // assert repeat determinism here; engine tests cover thread-count
-        // invariance of par_map ordering.)
+    fn repeated_solves_are_identical() {
+        // The open list's (f, −g, state) order is total, so a repeat solve
+        // takes the same trajectory: same cost, stats and schedule.
         let g = add_graph();
         let a = ExactSolver::default().solve_with_schedule(&g, 64).unwrap();
         let b = ExactSolver::default().solve_with_schedule(&g, 64).unwrap();
@@ -649,7 +641,7 @@ mod tests {
             "shared-width runs must take the identical search trajectory"
         );
         assert_eq!(narrow.stats.expanded, wide.stats.expanded);
-        assert_eq!(narrow.stats.frontier_steals, wide.stats.frontier_steals);
+        assert_eq!(narrow.stats.generated, wide.stats.generated);
     }
 
     #[test]

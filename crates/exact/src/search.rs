@@ -1,25 +1,26 @@
 //! Best-first A\* search over packed WRBPG game states.
 //!
-//! The driver is a batched A\*: it deterministically drains the globally
-//! best entries from a sharded open list ([`ShardedWorklist`]), expands the
-//! batch in parallel with [`par_map_hash_distributed`] (successor
-//! generation and heuristic evaluation are pure; each frontier item is
-//! expanded by the virtual shard that *owns* its state hash, with a
-//! deterministic steal rebalance — HDA\*-style hash distribution), and
-//! merges distance/parent/queue updates sequentially in batch order.
-//! Ownership, rebalance, and merge order are all independent of thread
-//! count, which keeps costs, schedules, and statistics byte-reproducible.
+//! The driver is a plain serial A\*: it pops the single best entry of one
+//! binary-heap open list, expands it inline, merges its successors into
+//! the distance map and the heap, and repeats.  The heap orders entries by
+//! `(f, −g, state)`, a total order, so the expansion order — and with it
+//! every cost, schedule and statistic — is a pure function of the graph,
+//! the budget and the solver configuration.  One expansion takes
+//! microseconds, less than handing a batch of states to worker threads
+//! costs, so the search runs on the calling thread (DESIGN.md, "Why the
+//! search is serial").
 //!
 //! The state is generic over [`StateMask`]: `u64` is the zero-cost fast
 //! path for graphs of ≤ 64 nodes (the monomorphized hot loop is the
 //! pre-refactor single-word code), and `Words<N>` lifts the same search to
 //! wider graphs.  The search itself never mentions a concrete width.
 //!
-//! A goal state is only accepted when it is the head of the open list with
-//! its recorded distance — i.e. its `f = g` is no worse than every open
-//! `f = g + h` — which with an admissible (not necessarily consistent)
-//! heuristic certifies optimality; improved paths re-queue their state, so
-//! inconsistency costs re-expansions, never correctness.
+//! A goal state is only accepted when it is popped with its recorded
+//! distance — i.e. its `f = g` is no worse than every open `f = g + h` —
+//! which with an admissible (not necessarily consistent) heuristic
+//! certifies optimality; improved paths re-queue their state, so
+//! inconsistency costs re-expansions ([`SearchStats::re_expanded`]), never
+//! correctness.
 //!
 //! Successor generation runs in one of two modes:
 //!
@@ -28,7 +29,7 @@
 //! * **tightened** — the A\*'s macro-moves, justified by schedule
 //!   normalization: every load can be postponed until just before the
 //!   compute that consumes it, every store advanced to just after the
-//!   compute that creates it, and every delete deferred until some
+//!   compute that creates it, and every delete postponed until some
 //!   load/compute is budget-blocked.  Each successor is then either *fused
 //!   loads + compute (+ store)* for one target node, or a single delete
 //!   when the budget actually blocks progress.  Both the intermediate load
@@ -56,17 +57,6 @@
 //! same reason the twin sort is; greedy descent need not reach the global
 //! orbit minimum, which costs collapse opportunities but never correctness.
 //!
-//! **Partial expansion** (PEA\*) tames the open list: when a popped state's
-//! successors are merged, only those with `f ≤ F` (the parent's own popped
-//! f-value) enter the open list; if any admissible successor had `f > F`,
-//! the parent re-enqueues once at the *smallest* such f instead of
-//! materializing those children.  Re-popping the deferred parent
-//! regenerates its successors under the raised threshold, so every child is
-//! eventually enqueued at exactly the moment the best-first order needs it
-//! — the open-list peak shrinks while costs, tie-breaking, and thread-count
-//! determinism are untouched (the deferred entry re-enters the same total
-//! order as everything else).
-//!
 //! Path costs never wrap: a successor whose `g` overflows a `u64` leaves
 //! the search (its cost exceeds every cost a `u64` can hold), `f = g + h`
 //! saturates, and a search that drains its open list after such a drop
@@ -75,21 +65,11 @@
 use crate::dominance::DominanceStore;
 use crate::{ExactError, ExactSolver, SearchStats, Solution, StateLimitExceeded};
 use pebblyn_core::{
-    certified_generators, mask_iter, mask_weight, twin_classes, Cdag, FastHashMap, FastHasher,
-    Move, NodeId, Schedule, StateBounds, StateMask, Weight,
+    certified_generators, mask_iter, mask_weight, twin_classes, Cdag, FastHashMap, Move, NodeId,
+    Schedule, StateBounds, StateMask, Weight,
 };
-use pebblyn_engine::par::par_map_hash_distributed;
-use pebblyn_engine::ShardedWorklist;
 use pebblyn_telemetry as telemetry;
-use std::hash::Hasher;
-
-/// Open-list shard count and virtual expansion-owner count; fixed so
-/// expansion order never depends on the host's thread count.
-const SHARDS: usize = 8;
-
-/// States expanded per parallel frontier round.  Fixed (not derived from
-/// the thread count) so results are byte-identical on any host.
-const BATCH: usize = 32;
+use std::collections::BinaryHeap;
 
 /// Packed game snapshot: one red and one blue bitset, one bit per node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -133,8 +113,8 @@ impl<M: StateMask> Step<M> {
     }
 }
 
-/// A successor produced by (parallel) expansion, with its heuristic already
-/// evaluated and its state already in twin-orbit canonical form.
+/// A successor produced by expansion, with its heuristic already evaluated
+/// and its state already in twin-orbit canonical form.
 struct Succ<M: StateMask> {
     state: State<M>,
     g: Weight,
@@ -146,7 +126,8 @@ struct Succ<M: StateMask> {
 }
 
 /// One state's expansion: its successors, and whether any successor was
-/// dropped because its path cost overflowed a `u64`.
+/// dropped because its path cost overflowed a `u64`.  The search reuses one
+/// buffer for every expansion.
 struct Expansion<M: StateMask> {
     succs: Vec<Succ<M>>,
     overflowed: bool,
@@ -166,16 +147,12 @@ struct QueueItem<M: StateMask> {
     /// never rescans the node set.  A pure function of `state.red`, so
     /// duplicate queue entries always agree.
     red_weight: Weight,
-    /// Partial-expansion re-enqueue: this entry's `f` is the smallest
-    /// f-value among successors the last expansion declined to materialize,
-    /// not `g + h(state)`.  Counted as a re-expansion when popped.
-    deferred: bool,
 }
 
 impl<M: StateMask> PartialEq for QueueItem<M> {
     fn eq(&self, other: &Self) -> bool {
-        // Must agree with `Ord` (which ignores the deferred flag and the
-        // derived `red_weight`), or heap/sort invariants break.
+        // Must agree with `Ord` (which ignores the derived `red_weight`), or
+        // heap invariants break.
         self.f == other.f && self.g == other.g && self.state == other.state
     }
 }
@@ -222,9 +199,6 @@ struct Ctx<M: StateMask> {
     /// Certified automorphism generators (full node permutations) applied
     /// greedily after the twin sort; empty when symmetry reduction is off.
     generators: Vec<Vec<u32>>,
-    /// `ceil(n / 64)`: how many mask words the graph actually occupies.
-    /// Hashing exactly these words keeps shard routing width-independent.
-    hash_words: usize,
 }
 
 impl<M: StateMask> Ctx<M> {
@@ -289,17 +263,15 @@ impl<M: StateMask> Ctx<M> {
         (cur, changed)
     }
 
-    fn successors(&self, item: &QueueItem<M>) -> Expansion<M> {
-        let mut out = Expansion {
-            succs: Vec::new(),
-            overflowed: false,
-        };
+    /// Refill `out` with the successors of `item`.
+    fn successors(&self, item: &QueueItem<M>, out: &mut Expansion<M>) {
+        out.succs.clear();
+        out.overflowed = false;
         if self.tighten {
-            self.successors_tight(item, &mut out);
+            self.successors_tight(item, out);
         } else {
-            self.successors_loose(item, &mut out);
+            self.successors_loose(item, out);
         }
-        out
     }
 
     /// Queue a successor reached at path cost `g`; `None` means that cost
@@ -494,19 +466,6 @@ fn apply_perm<M: StateMask>(perm: &[u32], s: State<M>, n: usize) -> State<M> {
     State { red, blue }
 }
 
-/// Width-independent shard/owner hint: hash exactly the words the graph
-/// occupies, so a ≤ 64-node graph routes identically whether its states are
-/// `u64` or `Words<N>` — the precondition for the mask-width equivalence
-/// guarantee.
-fn shard_hint<M: StateMask>(s: &State<M>, hash_words: usize) -> u64 {
-    let mut h = FastHasher::default();
-    for i in 0..hash_words {
-        h.write_u64(s.red.word(i));
-        h.write_u64(s.blue.word(i));
-    }
-    h.finish()
-}
-
 /// Mirror a finished search's [`SearchStats`] into the process telemetry.
 ///
 /// Called exactly once per `search` exit (every `return` path), so the
@@ -522,8 +481,6 @@ fn record_stats(stats: &SearchStats) {
     telemetry::add(Counter::DominancePruned, stats.dominated as u64);
     telemetry::add(Counter::DedupPruned, stats.deduped as u64);
     telemetry::add(Counter::SymmetryPruned, stats.symmetry_pruned as u64);
-    telemetry::add(Counter::SearchBatches, stats.batches as u64);
-    telemetry::add(Counter::FrontierSteals, stats.frontier_steals);
     telemetry::add(Counter::ReExpansions, stats.re_expanded as u64);
     telemetry::gauge_max(Gauge::OpenListPeak, stats.peak_open as u64);
     telemetry::gauge_max(Gauge::DominanceEntriesPeak, stats.dominance_entries as u64);
@@ -576,7 +533,6 @@ pub(crate) fn search<M: StateMask>(
         } else {
             Vec::new()
         },
-        hash_words: n.div_ceil(64).max(1),
     };
 
     let (start, _) = ctx.canon(State {
@@ -591,69 +547,32 @@ pub(crate) fn search<M: StateMask>(
 
     let mut dist: FastHashMap<State<M>, Weight> = FastHashMap::default();
     let mut parent: FastHashMap<State<M>, (State<M>, Step<M>)> = FastHashMap::default();
-    let mut open: ShardedWorklist<QueueItem<M>> = ShardedWorklist::new(SHARDS);
+    let mut open: BinaryHeap<QueueItem<M>> = BinaryHeap::new();
     dist.insert(start, 0);
-    open.push(
-        shard_hint(&start, ctx.hash_words),
-        QueueItem {
-            f: stats.root_bound,
-            g: 0,
-            state: start,
-            red_weight: 0,
-            deferred: false,
-        },
-    );
+    open.push(QueueItem {
+        f: stats.root_bound,
+        g: 0,
+        state: start,
+        red_weight: 0,
+    });
     let mut dom = DominanceStore::default();
-    let mut batch: Vec<QueueItem<M>> = Vec::with_capacity(BATCH);
-    let mut hints: Vec<u64> = Vec::with_capacity(BATCH);
+    let mut expansion = Expansion {
+        succs: Vec::new(),
+        overflowed: false,
+    };
     // Whether any successor was dropped for an overflowing path cost.
     let mut overflowed = false;
 
-    loop {
-        batch.clear();
-        let mut settled_goal: Option<QueueItem<M>> = None;
-        while batch.len() < BATCH {
-            let Some(item) = open.pop_best() else { break };
-            if dist.get(&item.state) != Some(&item.g) {
-                continue; // stale queue entry
-            }
-            if item.state.blue.contains_all(ctx.sink_mask) {
-                if batch.is_empty() {
-                    // Head of the open list: g ≤ every open f, hence optimal.
-                    settled_goal = Some(item);
-                } else {
-                    // Cannot settle behind this round's batch; re-queue and
-                    // let the next round see it as the head.
-                    open.push(shard_hint(&item.state, ctx.hash_words), item);
-                }
-                break;
-            }
-            if stats.expanded == solver.max_states {
-                record_stats(&stats);
-                return Err(ExactError::StateLimit(StateLimitExceeded {
-                    max_states: solver.max_states,
-                    states_expanded: stats.expanded,
-                }));
-            }
-            if astar {
-                if dom.dominated(item.state.red, item.state.blue, item.g) {
-                    stats.dominated += 1;
-                    continue;
-                }
-                dom.record(item.state.red, item.state.blue, item.g);
-            }
-            stats.expanded += 1;
-            if item.deferred {
-                stats.re_expanded += 1;
-            }
-            batch.push(item);
+    while let Some(item) = open.pop() {
+        if dist.get(&item.state) != Some(&item.g) {
+            continue; // stale queue entry
         }
-
-        if let Some(goal) = settled_goal {
+        if item.state.blue.contains_all(ctx.sink_mask) {
+            // Popped with its recorded g ≤ every open f, hence optimal.
             stats.frontier_left = open.len();
             let schedule = reconstruct.then(|| {
                 let mut steps = Vec::new();
-                let mut cur = goal.state;
+                let mut cur = item.state;
                 while let Some(&(prev, step)) = parent.get(&cur) {
                     steps.push(step);
                     cur = prev;
@@ -667,106 +586,78 @@ pub(crate) fn search<M: StateMask>(
             });
             record_stats(&stats);
             return Ok(Solution {
-                cost: Some(goal.g),
+                cost: Some(item.g),
                 schedule,
                 stats,
             });
         }
-        if batch.is_empty() {
-            // The open list drained without reaching the goal: infeasible,
-            // unless a path was dropped for overflowing — then every
-            // schedule left costs more than a u64 can hold.
-            stats.frontier_left = 0;
+        if stats.expanded == solver.max_states {
             record_stats(&stats);
-            if overflowed {
-                return Err(ExactError::WeightOverflow {
-                    states_expanded: stats.expanded,
-                });
-            }
-            return Ok(Solution {
-                cost: None,
-                schedule: None,
-                stats,
-            });
+            return Err(ExactError::StateLimit(StateLimitExceeded {
+                max_states: solver.max_states,
+                states_expanded: stats.expanded,
+            }));
         }
+        if astar {
+            if dom.dominated(item.state.red, item.state.blue, item.g) {
+                stats.dominated += 1;
+                continue;
+            }
+            // Evicting the state's own entry means a strictly cheaper path
+            // reopened an already expanded state.
+            if dom.record(item.state.red, item.state.blue, item.g) {
+                stats.re_expanded += 1;
+            }
+        }
+        stats.expanded += 1;
 
-        stats.batches += 1;
-        hints.clear();
-        hints.extend(
-            batch
-                .iter()
-                .map(|item| shard_hint(&item.state, ctx.hash_words)),
-        );
-        let (expansions, steals) =
-            par_map_hash_distributed(&batch, &hints, SHARDS, |item| ctx.successors(item));
-        stats.frontier_steals += steals;
-        // Sequential merge in batch order: the only mutation point, so the
-        // search is deterministic for any thread count.
-        for (item, expansion) in batch.iter().zip(expansions) {
-            overflowed |= expansion.overflowed;
-            // Partial expansion: only successors at or below the parent's
-            // own popped f-value materialize now; the smallest deferred f
-            // (over successors that would otherwise have been enqueued)
-            // becomes the parent's re-enqueue priority.  Filters only ever
-            // tighten over time — `dist` entries can only shrink and the
-            // dominance antichain only grows — so a successor filtered out
-            // here would also be filtered at re-expansion, and skipping it
-            // in `next_f` loses nothing.
-            let mut next_f: Option<Weight> = None;
-            for succ in expansion.succs {
-                stats.generated += 1;
-                if succ.canonized {
-                    stats.symmetry_pruned += 1;
-                }
-                let improves = match dist.get(&succ.state) {
-                    Some(&d) => succ.g < d,
-                    None => true,
-                };
-                if !improves {
-                    stats.deduped += 1;
-                    continue;
-                }
-                if astar && dom.dominated(succ.state.red, succ.state.blue, succ.g) {
-                    stats.dominated += 1;
-                    continue;
-                }
-                let f = succ.g.saturating_add(succ.h);
-                if astar && f > item.f {
-                    next_f = Some(next_f.map_or(f, |best: Weight| best.min(f)));
-                    continue;
-                }
-                dist.insert(succ.state, succ.g);
-                if reconstruct {
-                    parent.insert(succ.state, (item.state, succ.step));
-                }
-                open.push(
-                    shard_hint(&succ.state, ctx.hash_words),
-                    QueueItem {
-                        f,
-                        g: succ.g,
-                        state: succ.state,
-                        red_weight: succ.red_weight,
-                        deferred: false,
-                    },
-                );
+        ctx.successors(&item, &mut expansion);
+        overflowed |= expansion.overflowed;
+        for succ in expansion.succs.drain(..) {
+            stats.generated += 1;
+            if succ.canonized {
+                stats.symmetry_pruned += 1;
             }
-            if let Some(f) = next_f {
-                // Strictly increasing re-enqueue f (`f > item.f`), so a
-                // state re-expands at most once per distinct successor
-                // f-value and the search terminates.
-                open.push(
-                    shard_hint(&item.state, ctx.hash_words),
-                    QueueItem {
-                        f,
-                        g: item.g,
-                        state: item.state,
-                        red_weight: item.red_weight,
-                        deferred: true,
-                    },
-                );
+            let improves = match dist.get(&succ.state) {
+                Some(&d) => succ.g < d,
+                None => true,
+            };
+            if !improves {
+                stats.deduped += 1;
+                continue;
             }
+            if astar && dom.dominated(succ.state.red, succ.state.blue, succ.g) {
+                stats.dominated += 1;
+                continue;
+            }
+            dist.insert(succ.state, succ.g);
+            if reconstruct {
+                parent.insert(succ.state, (item.state, succ.step));
+            }
+            open.push(QueueItem {
+                f: succ.g.saturating_add(succ.h),
+                g: succ.g,
+                state: succ.state,
+                red_weight: succ.red_weight,
+            });
         }
         stats.peak_open = stats.peak_open.max(open.len());
         stats.dominance_entries = stats.dominance_entries.max(dom.len());
     }
+
+    // The open list drained without reaching the goal: infeasible, unless a
+    // path was dropped for overflowing — then every schedule left costs
+    // more than a u64 can hold.
+    stats.frontier_left = 0;
+    record_stats(&stats);
+    if overflowed {
+        return Err(ExactError::WeightOverflow {
+            states_expanded: stats.expanded,
+        });
+    }
+    Ok(Solution {
+        cost: None,
+        schedule: None,
+        stats,
+    })
 }

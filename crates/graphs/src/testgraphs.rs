@@ -68,6 +68,51 @@ pub fn fft_butterfly(stages: usize, scheme: WeightScheme) -> Result<Cdag, ParamE
         .map_err(|e| ParamError(format!("internal FFT construction error: {e}")))
 }
 
+/// A 16-node reconvergent mesh: 4 sources feeding 12 interior joins, each
+/// consuming its two predecessors plus a periodic long-range operand, so
+/// diamonds stack and shared operands stay live across the frontier.  This
+/// is the shape class the 16-node EXHAUSTIVE certification regime must
+/// dispatch under the 5M-state cap; the exact-search bench races both
+/// solvers on it, and tests pin the solver's counters against it.
+pub fn reconvergent_mesh16() -> Cdag {
+    let mut b = CdagBuilder::with_capacity(16);
+    let ids: Vec<NodeId> = (0..16)
+        .map(|i| b.node(1 + (i as Weight) % 2, format!("m{i}")))
+        .collect();
+    for j in 4..16 {
+        b.edge(ids[j - 1], ids[j]);
+        b.edge(ids[j - 4], ids[j]);
+        if j % 3 == 0 {
+            b.edge(ids[j - 3], ids[j]);
+        }
+    }
+    b.build().expect("mesh is a connected DAG")
+}
+
+/// A chain of `k` unit-weight diamonds `a→{b,c}→d`, each diamond's exit
+/// feeding the next diamond's entry: `4k` nodes total.  Every diamond's
+/// midpoints are a twin orbit (identical predecessor and successor sets),
+/// so the graph is the canonical symmetry-reduction witness; at `k = 18`
+/// (72 nodes) it is also the bench instance that crosses the old 64-node
+/// `u64` state-mask wall and exercises the `Words<2>` search.  Feasible at
+/// budget 3 with optimal cost 2 (load the head source, store the tail
+/// sink; every interior node is compute-only).
+pub fn diamond_chain(k: usize) -> Cdag {
+    let mut b = CdagBuilder::with_capacity(4 * k);
+    let ids: Vec<NodeId> = (0..4 * k).map(|i| b.node(1, format!("d{i}"))).collect();
+    for d in 0..k {
+        let (a, m1, m2, z) = (ids[4 * d], ids[4 * d + 1], ids[4 * d + 2], ids[4 * d + 3]);
+        b.edge(a, m1);
+        b.edge(a, m2);
+        b.edge(m1, z);
+        b.edge(m2, z);
+        if d + 1 < k {
+            b.edge(z, ids[4 * d + 4]);
+        }
+    }
+    b.build().expect("diamond chain is a connected DAG")
+}
+
 /// A random layered DAG: `layers` layers of `width` nodes; each non-input
 /// node draws 1–2 parents from the previous layer.  Always yields a valid
 /// CDAG (connected enough that no node is isolated).

@@ -48,14 +48,8 @@ pub enum Counter {
     /// Successors rewritten to their twin-orbit canonical representative by
     /// the exact search's symmetry reduction.
     SymmetryPruned,
-    /// Parallel expansion batches executed by the exact search.
-    SearchBatches,
-    /// Frontier items reassigned from their hash-owner expansion shard to an
-    /// underloaded one by the deterministic rebalance (virtual work
-    /// stealing; independent of the physical thread count).
-    FrontierSteals,
-    /// Partial-expansion re-pops: deferred parents the exact search popped
-    /// again at the f-value of their best unmaterialized successor.
+    /// States the exact search expanded again after a strictly cheaper path
+    /// reopened them (only an inconsistent bound allows this).
     ReExpansions,
     /// Engine memo lookups answered from cache.
     MemoHits,
@@ -101,14 +95,12 @@ pub enum Counter {
 }
 
 /// All counters, in declaration (and output) order.
-pub const COUNTERS: [Counter; 26] = [
+pub const COUNTERS: [Counter; 24] = [
     Counter::StatesExpanded,
     Counter::StatesGenerated,
     Counter::DominancePruned,
     Counter::DedupPruned,
     Counter::SymmetryPruned,
-    Counter::SearchBatches,
-    Counter::FrontierSteals,
     Counter::ReExpansions,
     Counter::MemoHits,
     Counter::MemoMisses,
@@ -139,8 +131,6 @@ impl Counter {
             Counter::DominancePruned => "dominance_pruned",
             Counter::DedupPruned => "dedup_pruned",
             Counter::SymmetryPruned => "symmetry_prunes",
-            Counter::SearchBatches => "search_batches",
-            Counter::FrontierSteals => "frontier_steals",
             Counter::ReExpansions => "re_expansions",
             Counter::MemoHits => "memo_hits",
             Counter::MemoMisses => "memo_misses",
