@@ -1,8 +1,8 @@
 //! Figure 5: bits transferred between fast and slow memory as a function
 //! of fast memory size, for all four workload/weighting panels.
 //!
-//! Each panel is a declarative [`SweepPlan`] run by the engine (parallel,
-//! memoized); this binary only declares the plans and pivots the rows into
+//! Each panel is a declarative [`SweepPlan`] run by the engine (in
+//! parallel); this binary only declares the plans and pivots the rows into
 //! the paper's column layout.  Structured engine output (with lower-bound
 //! gaps) lands next to the per-panel CSVs as `fig5_sweep.json`.
 //!
@@ -30,7 +30,7 @@ fn dwt_panel(panel: &str, scheme: WeightScheme) -> SweepResult {
     .workload(g.clone())
     .series(Series::scheduler(&api::DwtOpt))
     .series(Series::scheduler(&api::LayerByLayer));
-    let res = plan.run_with(Memo::global());
+    let res = plan.run();
 
     let name = g.name();
     let opt = res.series_costs(&name, "dwt-opt");
@@ -71,7 +71,7 @@ fn mvm_panel(panel: &str, scheme: WeightScheme) -> SweepResult {
     .series(Series::ioopt_lb())
     .series(Series::ioopt_ub())
     .series(Series::scheduler(&api::MvmTiling));
-    let res = plan.run_with(Memo::global());
+    let res = plan.run();
 
     let name = g.name();
     let lb = res.series_costs(&name, "ioopt-lb");
@@ -135,39 +135,15 @@ fn main() {
     std::fs::write(&path, json).expect("write sweep json");
     println!("[json] {}", path.display());
 
-    let memo = Memo::global();
     let points: usize = results.iter().map(|r| r.rows.len()).sum();
     let point_ns: u64 = results.iter().map(SweepResult::total_wall_ns).sum();
     println!(
-        "engine: {points} points in {:.2}s wall ({:.2}s point time; memo {} hits / {} misses)",
+        "engine: {points} points in {:.2}s wall ({:.2}s point time)",
         started.elapsed().as_secs_f64(),
         point_ns as f64 / 1e9,
-        memo.hits(),
-        memo.misses(),
     );
 
-    // Engine-cache effectiveness, as a separate artifact so the sweep JSON
-    // above stays byte-stable across engine-internals changes.
-    let (hits, misses) = (memo.hits(), memo.misses());
-    let memo_json = format!(
-        r#"{{
-  "description": "Engine memo-table effectiveness for the Figure 5 sweeps: every (graph, scheduler, budget) evaluation goes through the process-wide Memo; hits are evaluations answered from cache. Counters cover this process run (panel selection changes them).",
-  "command": "cargo run --release -p pebblyn-bench --bin fig5",
-  "panel": "{panel}",
-  "sweep_points": {points},
-  "point_time_ns": {point_ns},
-  "memo_hits": {hits},
-  "memo_misses": {misses},
-  "memo_hit_rate": {rate:.4}
-}}
-"#,
-        rate = hits as f64 / (hits + misses).max(1) as f64,
-    );
-    let memo_path = results_dir().join("sweep_memo.json");
-    std::fs::write(&memo_path, memo_json).expect("write sweep memo json");
-    println!("[json] {}", memo_path.display());
-
-    // No-op unless --telemetry installed sinks: the memo and sweep numbers
-    // printed above also land in the JSONL record for machine consumption.
+    // No-op unless --telemetry installed sinks: the sweep numbers printed
+    // above also land in the JSONL record for machine consumption.
     pebblyn::telemetry::flush_run(&format!("fig5/{panel}"));
 }

@@ -4,8 +4,8 @@
 //! Panels a/b sweep `DWT(n, d*)` for even `n ≤ 256` with `d*` the maximum
 //! admissible level; panels c/d sweep `MVM(96, n)` for `n ≤ 120`.  Each
 //! panel is a declarative [`MinMemoryPlan`] run by the engine: the DWT
-//! minima come from the shared memoized bisection, the MVM minima from the
-//! closed-form `Direct` entries.
+//! minima come from the bisection over the DP's costs, the MVM minima from
+//! the closed-form `Direct` entries.
 //!
 //! ```sh
 //! cargo run --release -p pebblyn-bench --bin fig6 [-- --panel a|b|c|d]
@@ -23,7 +23,7 @@ fn dwt_panel(panel: &str, scheme: WeightScheme) {
         let d = DwtGraph::max_level(n).expect("even n");
         plan = plan.workload(AnyGraph::build(Workload::Dwt { n, d }, scheme).unwrap());
     }
-    let res = plan.run_with(Memo::global());
+    let res = plan.run();
 
     let mut t = Table::new(
         res.title.clone(),
@@ -56,7 +56,7 @@ fn mvm_panel(panel: &str, scheme: WeightScheme) {
     for n in 1..=120usize {
         plan = plan.workload(AnyGraph::build(Workload::Mvm { m: 96, n }, scheme).unwrap());
     }
-    let res = plan.run_with(Memo::global());
+    let res = plan.run();
 
     let mut t = Table::new(res.title.clone(), &["n", "ioopt_ub_bits", "tiling_bits"]);
     for (i, n) in (1..=120usize).enumerate() {

@@ -14,9 +14,9 @@
 //!
 //! Each binary prints the series the paper plots and writes a CSV under
 //! `results/`.  The sweeps themselves are declarative
-//! [`SweepPlan`]/[`MinMemoryPlan`]s executed by `pebblyn-engine` (parallel,
-//! memoized via [`Memo::global`]); this library holds the presentation
-//! plumbing — table printing, CSV output — plus the shared Table 1 rows.
+//! [`SweepPlan`]/[`MinMemoryPlan`]s executed in parallel by
+//! `pebblyn-engine`; this library holds the presentation plumbing — table
+//! printing, CSV output — plus the shared Table 1 rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -154,8 +154,7 @@ pub fn init_telemetry_from_args(args: &[String]) -> bool {
 /// The four Table 1 workload/scheduler comparisons, shared by several
 /// binaries: (label, scheme, our min-memory bits, baseline min-memory bits).
 ///
-/// One [`MinMemoryPlan`] per workload family, run through the process-wide
-/// memo so Figure 5's budget sweeps and this table share DP evaluations.
+/// One [`MinMemoryPlan`] per workload family.
 pub fn table1_rows() -> Vec<(String, WeightScheme, Weight, Weight)> {
     let mut rows = Vec::new();
 
@@ -166,7 +165,7 @@ pub fn table1_rows() -> Vec<(String, WeightScheme, Weight, Weight)> {
         let g = AnyGraph::build(Workload::Dwt { n: 256, d: 8 }, scheme).unwrap();
         dwt_plan = dwt_plan.workload(g);
     }
-    let dwt = dwt_plan.run_with(Memo::global());
+    let dwt = dwt_plan.run();
     for (i, scheme) in WeightScheme::paper_configs().into_iter().enumerate() {
         let ours = dwt.rows[2 * i].min_bits.expect("optimum reaches LB");
         let baseline = dwt.rows[2 * i + 1]
@@ -193,7 +192,7 @@ pub fn table1_rows() -> Vec<(String, WeightScheme, Weight, Weight)> {
         let g = AnyGraph::build(Workload::Mvm { m: 96, n: 120 }, scheme).unwrap();
         mvm_plan = mvm_plan.workload(g);
     }
-    let mvm = mvm_plan.run_with(Memo::global());
+    let mvm = mvm_plan.run();
     for (i, scheme) in WeightScheme::paper_configs().into_iter().enumerate() {
         let ours = mvm.rows[2 * i].min_bits.expect("tiling family minimum");
         let baseline = mvm.rows[2 * i + 1].min_bits.expect("IOOpt UB minimum");

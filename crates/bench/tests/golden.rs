@@ -66,8 +66,7 @@ fn table1_minimum_fast_memory_is_reproducible() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every fig5 artifact that is byte-stable by design (`sweep_memo.json` is
-/// excluded: it carries wall-clock point timings).
+/// Every fig5 artifact, each byte-stable by design.
 const FIG5_STABLE: &[&str] = &[
     "fig5_sweep.json",
     "fig_5a_equal_dwt_256_8_.csv",

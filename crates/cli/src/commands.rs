@@ -5,8 +5,7 @@
 //! ([`ScheduleRequest`] → `pebblyn-schedulers::api::execute_with`) — the
 //! same single entry point the engine's sweep evaluator and the
 //! `pebblyn serve` daemon use.  The `sweep` and `min-memory` commands
-//! are thin declarations over the `pebblyn-engine` plans, sharing its
-//! process-wide memo.
+//! are thin declarations over the `pebblyn-engine` plans.
 //!
 //! Report lines go to one writer handed to [`run`], and a failed write
 //! comes back as [`CliError::Io`] rather than a panic, so a reader that
@@ -377,7 +376,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             let res = MinMemoryPlan::new("cli min-memory")
                 .to_lower_bound(Series::scheduler(resolve(scheduler)?))
                 .workload(g)
-                .run_with(Memo::global());
+                .run();
             let bits = res.rows[0].min_bits.ok_or(CliError::Target(
                 "scheduler never reaches the algorithmic lower bound",
             ))?;
@@ -412,7 +411,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             let res = SweepPlan::new("cli sweep", lattice)
                 .workload(g)
                 .series(Series::scheduler(sched))
-                .run_with(Memo::global());
+                .run();
             say!(out, "budget_bits,cost_bits");
             for row in &res.rows {
                 match row.cost {

@@ -3,14 +3,12 @@
 //! A [`SweepPlan`] names what to evaluate — workload instances, a budget
 //! grid, and cost series (schedulers behind the
 //! [`Scheduler`] trait, or analytic models such as the IOOpt bounds) —
-//! and [`SweepPlan::run`] fans the cross product out over the worker pool,
-//! deduplicating repeated evaluations through a [`Memo`].  A
-//! [`MinMemoryPlan`] does the same for Definition 2.6 searches.
+//! and [`SweepPlan::run`] fans the cross product out over the worker pool.
+//! A [`MinMemoryPlan`] does the same for Definition 2.6 searches.
 //!
 //! Rows come back in deterministic plan order regardless of thread count,
 //! so parallel output is byte-identical to `RAYON_NUM_THREADS=1`.
 
-use crate::memo::Memo;
 use crate::par::par_map;
 use crate::result::{MinMemoryResult, MinMemoryRow, SweepResult, SweepRow};
 use pebblyn_baselines::IoOptMvmModel;
@@ -152,7 +150,7 @@ impl<'a> Series<'a> {
         })
     }
 
-    /// The series name used in result rows and memo keys.
+    /// The series name used in result rows.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -162,7 +160,7 @@ impl<'a> Series<'a> {
         self.monotone
     }
 
-    /// Evaluate the series (unmemoized).
+    /// Evaluate the series.
     ///
     /// Scheduler series go through the typed request surface
     /// ([`api::execute_with`] with a cost-only [`ScheduleRequest`], so DP
@@ -259,21 +257,15 @@ impl<'a> SweepPlan<'a> {
         self
     }
 
-    /// Execute with a private memo table.
-    pub fn run(&self) -> SweepResult {
-        self.run_with(&Memo::new())
-    }
-
-    /// Execute, sharing `memo` with other plans.
+    /// Execute the plan.
     ///
     /// Points fan out over the worker pool (`RAYON_NUM_THREADS`, then
     /// `PEBBLYN_THREADS`, then all cores); rows come back in plan order:
     /// workload-major, then budget, then series.
-    pub fn run_with(&self, memo: &Memo) -> SweepResult {
+    pub fn run(&self) -> SweepResult {
         let _span = telemetry::span("sweep");
         struct WorkloadMeta {
             name: String,
-            key: String,
             lower_bound: Weight,
         }
         let meta: Vec<WorkloadMeta> = self
@@ -281,7 +273,6 @@ impl<'a> SweepPlan<'a> {
             .iter()
             .map(|g| WorkloadMeta {
                 name: g.name(),
-                key: g.key(),
                 lower_bound: algorithmic_lower_bound(g.cdag()),
             })
             .collect();
@@ -298,7 +289,7 @@ impl<'a> SweepPlan<'a> {
             let g = &self.workloads[wi];
             let s = &self.series[si];
             let m = &meta[wi];
-            let cost = memo.cost_or(&m.key, s.name(), budget, || s.cost(g, budget));
+            let cost = s.cost(g, budget);
             let peak = if self.measure_peak {
                 s.schedule_peak(g, budget)
             } else {
@@ -399,15 +390,9 @@ impl<'a> MinMemoryPlan<'a> {
         self
     }
 
-    /// Execute with a private memo table.
+    /// Execute the plan; rows come back in plan order: workload-major, then
+    /// entry.
     pub fn run(&self) -> MinMemoryResult {
-        self.run_with(&Memo::new())
-    }
-
-    /// Execute, sharing `memo` with other plans.  Search probes go through
-    /// the memo, so a sweep that already evaluated a budget makes the
-    /// bisection here free (and vice versa).
-    pub fn run_with(&self, memo: &Memo) -> MinMemoryResult {
         let _span = telemetry::span("min_memory");
         let mut points: Vec<(usize, usize)> = Vec::new();
         for wi in 0..self.workloads.len() {
@@ -422,13 +407,8 @@ impl<'a> MinMemoryPlan<'a> {
             let lower_bound = algorithmic_lower_bound(cdag);
             let min_bits = match &self.entries[ei] {
                 MinMemoryEntry::ToLowerBound(s) => {
-                    let key = g.key();
                     let opts = MinMemoryOptions::for_graph(cdag).monotone(s.monotone());
-                    pebblyn_schedulers::min_memory(
-                        |b| memo.cost_or(&key, s.name(), b, || s.cost(g, b)),
-                        lower_bound,
-                        opts,
-                    )
+                    pebblyn_schedulers::min_memory(|b| s.cost(g, b), lower_bound, opts)
                 }
                 MinMemoryEntry::Direct { f, .. } => f(g),
             };
@@ -507,17 +487,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_shared_across_runs() {
-        let memo = Memo::new();
+    fn repeated_runs_agree() {
         let plan = SweepPlan::new("test", BudgetSpec::Explicit(vec![112, 160]))
             .workload(dwt16())
             .series(Series::scheduler(&DwtOpt));
-        let first = plan.run_with(&memo);
-        let misses = memo.misses();
-        let second = plan.run_with(&memo);
-        assert_eq!(memo.misses(), misses, "second run is fully cached");
-        assert!(memo.hits() >= 2);
-        assert_eq!(first.to_csv(), second.to_csv());
+        assert_eq!(plan.run().to_csv(), plan.run().to_csv());
     }
 
     #[test]

@@ -25,8 +25,7 @@ pub struct SweepRow {
     /// Peak fast-memory occupancy of the generated schedule, when the plan
     /// asked for it and the series produces schedules.
     pub peak: Option<Weight>,
-    /// Wall-clock time spent evaluating this point (nondeterministic; zero
-    /// when the memo answered).
+    /// Wall-clock time spent evaluating this point (nondeterministic).
     pub wall_ns: u64,
 }
 

@@ -4,11 +4,11 @@
 //! One `#[test]` only — it mutates the thread-count environment variable,
 //! and this integration binary owning the whole process keeps that safe.
 
-use pebblyn_engine::{BudgetSpec, Memo, MinMemoryPlan, Series, SweepPlan};
+use pebblyn_engine::{BudgetSpec, MinMemoryPlan, Series, SweepPlan};
 use pebblyn_graphs::{AnyGraph, WeightScheme, Workload};
 use pebblyn_schedulers::api;
 
-fn sweep(memo: &Memo) -> (String, String) {
+fn sweep() -> (String, String) {
     let mut plan = SweepPlan::new(
         "determinism",
         BudgetSpec::LogWords {
@@ -31,13 +31,13 @@ fn sweep(memo: &Memo) -> (String, String) {
     ] {
         plan = plan.workload(AnyGraph::build(w, WeightScheme::Equal(16)).unwrap());
     }
-    let res = plan.run_with(memo);
+    let res = plan.run();
 
     let min = MinMemoryPlan::new("determinism min-memory")
         .workload(AnyGraph::build(Workload::Dwt { n: 64, d: 6 }, WeightScheme::Equal(16)).unwrap())
         .to_lower_bound(Series::scheduler(&api::DwtOpt))
         .to_lower_bound(Series::scheduler(&api::LayerByLayer))
-        .run_with(memo);
+        .run();
 
     // Deterministic emitters only — wall times legitimately differ.
     (format!("{}\n{}", res.to_csv(), res.to_json()), min.to_csv())
@@ -48,10 +48,10 @@ fn parallel_output_is_byte_identical_to_serial() {
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
 
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = sweep(&Memo::new());
+    let serial = sweep();
 
     std::env::set_var("RAYON_NUM_THREADS", "8");
-    let parallel = sweep(&Memo::new());
+    let parallel = sweep();
 
     match saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),

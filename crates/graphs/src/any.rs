@@ -6,8 +6,7 @@
 //! shared version.  [`Workload`] is the parameter record (what to build),
 //! [`AnyGraph`] the built graph (what to schedule), and both implement the
 //! operations downstream layers dispatch on: [`AnyGraph::cdag`],
-//! [`AnyGraph::name`], [`AnyGraph::scheme`], [`Layered`] and a stable
-//! [`AnyGraph::key`] for memoization.
+//! [`AnyGraph::name`], [`AnyGraph::scheme`] and [`Layered`].
 
 use crate::banded::BandedMvmGraph;
 use crate::conv::ConvGraph;
@@ -168,22 +167,6 @@ impl AnyGraph {
             AnyGraph::Custom { .. } => None,
         }
     }
-
-    /// Stable identity for memo tables: name, scheme, and cheap structural
-    /// invariants (so two custom graphs under one name but different
-    /// shapes don't collide).
-    pub fn key(&self) -> String {
-        let g = self.cdag();
-        format!(
-            "{}|{}|{}n{}e{}w",
-            self.name(),
-            self.scheme()
-                .map_or_else(|| "custom".into(), |s| s.label().to_string()),
-            g.len(),
-            g.edge_count(),
-            g.total_weight(),
-        )
-    }
 }
 
 impl Layered for AnyGraph {
@@ -235,24 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_graphs_are_layered_and_keyed() {
+    fn custom_graphs_are_layered() {
         let diamond = crate::testgraphs::diamond(WeightScheme::Equal(8));
         let g = AnyGraph::custom("diamond", diamond);
         assert!(check_layering(&g));
         assert_eq!(g.scheme(), None);
-        assert!(g.key().starts_with("diamond|custom|"));
-    }
-
-    #[test]
-    fn keys_distinguish_instances() {
-        let a = AnyGraph::build(Workload::Dwt { n: 16, d: 4 }, WeightScheme::Equal(16)).unwrap();
-        let b = AnyGraph::build(
-            Workload::Dwt { n: 16, d: 4 },
-            WeightScheme::DoubleAccumulator(16),
-        )
-        .unwrap();
-        let c = AnyGraph::build(Workload::Dwt { n: 32, d: 4 }, WeightScheme::Equal(16)).unwrap();
-        assert_ne!(a.key(), b.key());
-        assert_ne!(a.key(), c.key());
+        assert_eq!(g.name(), "diamond");
     }
 }

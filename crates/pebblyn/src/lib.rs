@@ -42,7 +42,7 @@
 //!   every scheduler against [`exact`] on randomized CDAGs,
 //! * [`baselines`] — IOOpt-style analytic bounds,
 //! * [`engine`] — the parallel sweep engine (`workloads × budgets ×
-//!   schedulers` plans with memoized evaluation),
+//!   schedulers` plans with structured results),
 //! * [`machine`] — executable two-level memory machine with energy
 //!   accounting,
 //! * [`kernels`] — Haar/MVM arithmetic, synthetic neural signals, BCI
@@ -85,7 +85,7 @@ pub mod prelude {
         DEFAULT_COMM_PRICE,
     };
     pub use pebblyn_engine::{
-        BudgetSpec, Memo, MinMemoryPlan, MinMemoryResult, Series, SweepPlan, SweepResult,
+        BudgetSpec, MinMemoryPlan, MinMemoryResult, Series, SweepPlan, SweepResult,
     };
     pub use pebblyn_exact::{
         exact_min_cost, exact_optimal_schedule, ExactError, ExactSolver, SearchStats, Solution,

@@ -16,224 +16,32 @@
 //! P(v, b) = w_v                                      if H(v) = ∅
 //! ```
 //!
-//! The DP memoises *plans* (decision + cached cost) rather than move lists,
-//! so memory stays proportional to the number of `(node, budget)` states;
-//! the concrete schedule is emitted in one walk over the plan forest.
+//! This module is a front for the crate's one tree DP, which runs Eq. (2)
+//! on the DWT's average nodes with each pruned sibling's store charged to
+//! its average.  The DP memoises costs only; the schedule is one traceback
+//! walk that asks each `(node, budget)` step again for its choice.
 
+use crate::memstate::MemoryStates;
 use crate::stack::with_large_stack;
-use pebblyn_core::{pack_key, Cdag, FastHashMap, Move, NodeId, Schedule, Weight};
+use crate::tree_dp::TreeDp;
+use pebblyn_core::{Schedule, Weight};
 use pebblyn_graphs::DwtGraph;
-use std::rc::Rc;
 
-/// Per-bit I/O cost scales: the classic game uses `(1, 1)`; asymmetric
-/// scales model technologies where writes to slow memory cost more than
-/// reads (e.g. embedded Flash in implanted devices).  The DP is exact for
-/// any non-negative scales — certified against the exhaustive solver in
-/// this crate's test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoCosts {
-    /// Cost per bit of an M1 (slow → fast) transfer.
-    pub load: Weight,
-    /// Cost per bit of an M2 (fast → slow) transfer.
-    pub store: Weight,
-}
+pub use crate::tree_dp::IoCosts;
 
-impl Default for IoCosts {
-    fn default() -> Self {
-        IoCosts { load: 1, store: 1 }
-    }
-}
-
-/// A memoised decision for one `(node, budget)` state.
-#[derive(Debug)]
-enum Plan {
-    /// Leaf: `M1(v)`.
-    Leaf { v: NodeId, cost: Weight },
-    /// Internal node: compute `first` then `second`, optionally spilling the
-    /// first parent to slow memory while the second is computed; then emit
-    /// the pruned sibling (if any) and the node itself.
-    Node {
-        v: NodeId,
-        /// The pruned coefficient sibling to emit right before `v`.
-        sibling: Option<NodeId>,
-        /// Plan for the parent computed first.
-        first: Rc<Plan>,
-        /// Plan for the parent computed second.
-        second: Rc<Plan>,
-        /// The parent nodes in (first, second) order.
-        parents: (NodeId, NodeId),
-        /// Whether the first parent is spilled (store + delete + reload)
-        /// while the second is computed.
-        spill_first: bool,
-        cost: Weight,
-    },
-}
-
-impl Plan {
-    fn cost(&self) -> Weight {
-        match self {
-            Plan::Leaf { cost, .. } | Plan::Node { cost, .. } => *cost,
-        }
-    }
-
-    /// Append this plan's move sequence.  Post-condition: of this subtree's
-    /// nodes, exactly the root carries a red pebble; its sibling (if any)
-    /// has been computed, stored and evicted.
-    fn emit(&self, out: &mut Vec<Move>) {
-        match self {
-            Plan::Leaf { v, .. } => out.push(Move::Load(*v)),
-            Plan::Node {
-                v,
-                sibling,
-                first,
-                second,
-                parents,
-                spill_first,
-                ..
-            } => {
-                first.emit(out);
-                if *spill_first {
-                    out.push(Move::Store(parents.0));
-                    out.push(Move::Delete(parents.0));
-                }
-                second.emit(out);
-                if *spill_first {
-                    out.push(Move::Load(parents.0));
-                }
-                if let Some(u) = sibling {
-                    out.push(Move::Compute(*u));
-                    out.push(Move::Store(*u));
-                    out.push(Move::Delete(*u));
-                }
-                out.push(Move::Compute(*v));
-                out.push(Move::Delete(parents.0));
-                out.push(Move::Delete(parents.1));
-            }
-        }
-    }
-}
-
-struct Dp<'a> {
-    graph: &'a Cdag,
-    /// Sibling (pruned coefficient) of each average node, if any.
-    sibling: Vec<Option<NodeId>>,
-    costs: IoCosts,
-    /// Keyed by [`pack_key`]`(node, budget)` — one `u128` per state.
-    memo: FastHashMap<u128, Option<Rc<Plan>>>,
-}
-
-impl<'a> Dp<'a> {
-    /// `PebbleTree(v, b)` — Lines 13–39 of Algorithm 1.
-    fn pebble_tree(&mut self, v: NodeId, b: Weight) -> Option<Rc<Plan>> {
-        let key = pack_key(v.index() as u64, b);
-        if let Some(hit) = self.memo.get(&key) {
-            return hit.clone();
-        }
-        let plan = self.compute_plan(v, b);
-        self.memo.insert(key, plan.clone());
-        plan
-    }
-
-    fn compute_plan(&mut self, v: NodeId, b: Weight) -> Option<Rc<Plan>> {
-        let g = self.graph;
-        let preds = g.preds(v);
-        if preds.is_empty() {
-            let w = g.weight(v);
-            if w > b {
-                return None;
-            }
-            return Some(Rc::new(Plan::Leaf {
-                v,
-                cost: self.costs.load * w,
-            }));
-        }
-        debug_assert_eq!(preds.len(), 2, "pruned DWT trees are binary");
-        let (p1, p2) = (preds[0], preds[1]);
-        let (w1, w2) = (g.weight(p1), g.weight(p2));
-        let wv = g.weight(v);
-        // Budget feasibility: v and both parents are simultaneously red at
-        // M3(v); the sibling's compute is covered because w_u <= w_v.
-        if wv
-            .checked_add(w1)
-            .and_then(|s| s.checked_add(w2))
-            .is_none_or(|s| s > b)
-        {
-            return None;
-        }
-        let sibling = self.sibling[v.index()];
-
-        // The four representative strategies of Eq. (4); the sibling's store
-        // (w_u) is a constant across all strategies and is charged where it
-        // is emitted, keeping plan costs equal to replayed schedule costs.
-        let sibling_cost = sibling.map_or(0, |u| self.costs.store * g.weight(u));
-        let round_trip = self.costs.load + self.costs.store;
-
-        // (cost, first plan, second plan, (first, second) parents, spill?)
-        type Candidate = (Weight, Rc<Plan>, Rc<Plan>, (NodeId, NodeId), bool);
-        let mut best: Option<Candidate> = None;
-        let consider = |cost: Weight,
-                        first: Rc<Plan>,
-                        second: Rc<Plan>,
-                        par: (NodeId, NodeId),
-                        spill: bool,
-                        best: &mut Option<Candidate>| {
-            if best.as_ref().is_none_or(|(c, ..)| cost < *c) {
-                *best = Some((cost, first, second, par, spill));
-            }
-        };
-
-        // Strategy (3): blue p1 — compute p1, spill it, compute p2 at full
-        // budget, reload p1.  Extra cost: one store plus one load of w_p1.
-        if let (Some(a), Some(c)) = (self.pebble_tree(p1, b), self.pebble_tree(p2, b)) {
-            let cost = a.cost() + c.cost() + round_trip * w1 + sibling_cost;
-            consider(cost, a, c, (p1, p2), true, &mut best);
-        }
-        // Strategy (4): red p1 — keep p1 resident while computing p2.
-        if b > w1 {
-            if let (Some(a), Some(c)) = (self.pebble_tree(p1, b), self.pebble_tree(p2, b - w1)) {
-                let cost = a.cost() + c.cost() + sibling_cost;
-                consider(cost, a, c, (p1, p2), false, &mut best);
-            }
-        }
-        // Strategy (7): blue p2.
-        if let (Some(a), Some(c)) = (self.pebble_tree(p2, b), self.pebble_tree(p1, b)) {
-            let cost = a.cost() + c.cost() + round_trip * w2 + sibling_cost;
-            consider(cost, a, c, (p2, p1), true, &mut best);
-        }
-        // Strategy (8): red p2.
-        if b > w2 {
-            if let (Some(a), Some(c)) = (self.pebble_tree(p2, b), self.pebble_tree(p1, b - w2)) {
-                let cost = a.cost() + c.cost() + sibling_cost;
-                consider(cost, a, c, (p2, p1), false, &mut best);
-            }
-        }
-
-        best.map(|(cost, first, second, parents, spill_first)| {
-            Rc::new(Plan::Node {
-                v,
-                sibling,
-                first,
-                second,
-                parents,
-                spill_first,
-                cost,
-            })
-        })
-    }
-}
-
-fn build_dp<'a>(dwt: &'a DwtGraph, costs: IoCosts) -> Dp<'a> {
+/// The tree DP over the DWT's pruned forest, each coefficient emitted with
+/// its average sibling.
+fn pruned_forest_dp(dwt: &DwtGraph, costs: IoCosts) -> TreeDp<'_> {
     let g = dwt.cdag();
-    let mut sibling = vec![None; g.len()];
-    for v in g.nodes() {
-        sibling[v.index()] = dwt.sibling(v);
-    }
-    Dp {
-        graph: g,
-        sibling,
-        costs,
-        memo: FastHashMap::default(),
-    }
+    TreeDp::new(g, costs, &MemoryStates::none())
+        .with_siblings(g.nodes().map(|v| dwt.sibling(v)).collect())
+}
+
+fn assert_prunable(dwt: &DwtGraph) {
+    assert!(
+        dwt.satisfies_pruning_condition(),
+        "DWT weights must satisfy Lemma 3.2 (coefficient <= average per layer)"
+    );
 }
 
 /// `PebbleDWT(G)` — generate a minimum-weight WRBPG schedule for the DWT
@@ -254,21 +62,8 @@ pub fn schedule(dwt: &DwtGraph, budget: Weight) -> Option<Schedule> {
 /// shifts toward keep-red strategies: spilling a subtree result becomes a
 /// store *and* a reload instead of two symmetric transfers.
 pub fn schedule_with_costs(dwt: &DwtGraph, budget: Weight, costs: IoCosts) -> Option<Schedule> {
-    assert!(
-        dwt.satisfies_pruning_condition(),
-        "DWT weights must satisfy Lemma 3.2 (coefficient <= average per layer)"
-    );
-    with_large_stack(|| {
-        let mut dp = build_dp(dwt, costs);
-        let mut moves = Vec::new();
-        for root in dwt.tree_roots() {
-            let plan = dp.pebble_tree(root, budget)?;
-            plan.emit(&mut moves);
-            moves.push(Move::Store(root));
-            moves.push(Move::Delete(root));
-        }
-        Some(Schedule::from_moves(moves))
-    })
+    assert_prunable(dwt);
+    with_large_stack(|| pruned_forest_dp(dwt, costs).forest_schedule(&dwt.tree_roots(), budget))
 }
 
 /// The minimum weighted schedule cost for the DWT under `budget`
@@ -283,19 +78,8 @@ pub fn min_cost(dwt: &DwtGraph, budget: Weight) -> Option<Weight> {
 /// As [`min_cost`] under asymmetric I/O costs (see
 /// [`schedule_with_costs`]).
 pub fn min_cost_with_costs(dwt: &DwtGraph, budget: Weight, costs: IoCosts) -> Option<Weight> {
-    assert!(
-        dwt.satisfies_pruning_condition(),
-        "DWT weights must satisfy Lemma 3.2 (coefficient <= average per layer)"
-    );
-    with_large_stack(|| {
-        let mut dp = build_dp(dwt, costs);
-        let mut total: Weight = 0;
-        for root in dwt.tree_roots() {
-            let plan = dp.pebble_tree(root, budget)?;
-            total += plan.cost() + costs.store * dwt.cdag().weight(root);
-        }
-        Some(total)
-    })
+    assert_prunable(dwt);
+    with_large_stack(|| pruned_forest_dp(dwt, costs).forest_cost(&dwt.tree_roots(), budget))
 }
 
 #[cfg(test)]

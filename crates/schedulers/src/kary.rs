@@ -11,11 +11,13 @@
 //! ```
 //!
 //! Enumerating `k!·2^k` choices is what the paper's Theorem 3.8 accounts
-//! for; this implementation instead runs an exact Held–Karp-style subset DP
-//! (state = processed parent set × total kept weight) which explores the
-//! same decision space in `O(3^k)`-ish work per node without changing the
-//! optimum.  [`min_cost_bruteforce`] keeps the literal `σ, δ` enumeration
-//! for cross-checking.
+//! for; this module is instead a front for the crate's one tree DP, Eq. (8)
+//! with empty memory states.  It runs Eq. (2)'s four candidates at
+//! in-degree 2 and an exact Held–Karp-style subset DP (state = processed
+//! parent set × total kept weight) at every other in-degree, which explores
+//! the same decision space in `O(3^k)`-ish work per node without changing
+//! the optimum.  [`min_cost_bruteforce`] keeps the literal `σ, δ`
+//! enumeration as the independent reference.
 //!
 //! # Optimality caveat (found by the conformance fuzzer)
 //!
@@ -34,174 +36,10 @@
 //! bound (every emitted schedule still replays cleanly).
 
 use crate::dwt_opt::IoCosts;
+use crate::memstate::MemoryStates;
 use crate::stack::with_large_stack;
-use pebblyn_core::{pack_key, Cdag, FastHashMap, Move, NodeId, Schedule, Weight};
-use std::rc::Rc;
-
-/// A memoised plan for computing one subtree root with a given budget.
-#[derive(Debug)]
-enum Plan {
-    Leaf {
-        v: NodeId,
-        cost: Weight,
-    },
-    Node {
-        v: NodeId,
-        /// Parents in computation order, each with its plan and keep flag.
-        order: Vec<(NodeId, Rc<Plan>, bool)>,
-        cost: Weight,
-    },
-}
-
-impl Plan {
-    fn cost(&self) -> Weight {
-        match self {
-            Plan::Leaf { cost, .. } | Plan::Node { cost, .. } => *cost,
-        }
-    }
-
-    /// Emit moves.  Post-condition: exactly the subtree root is red.
-    fn emit(&self, out: &mut Vec<Move>) {
-        match self {
-            Plan::Leaf { v, .. } => out.push(Move::Load(*v)),
-            Plan::Node { v, order, .. } => {
-                for (p, plan, keep) in order {
-                    plan.emit(out);
-                    if !keep {
-                        out.push(Move::Store(*p));
-                        out.push(Move::Delete(*p));
-                    }
-                }
-                // Reload the spilled parents (in computation order).
-                for (p, _, keep) in order {
-                    if !keep {
-                        out.push(Move::Load(*p));
-                    }
-                }
-                out.push(Move::Compute(*v));
-                for (p, _, _) in order {
-                    out.push(Move::Delete(*p));
-                }
-            }
-        }
-    }
-}
-
-struct Dp<'a> {
-    graph: &'a Cdag,
-    costs: IoCosts,
-    /// Keyed by [`pack_key`]`(node, budget)` — one `u128` per state.
-    memo: FastHashMap<u128, Option<Rc<Plan>>>,
-}
-
-impl<'a> Dp<'a> {
-    fn pebble(&mut self, v: NodeId, b: Weight) -> Option<Rc<Plan>> {
-        let key = pack_key(v.index() as u64, b);
-        if let Some(hit) = self.memo.get(&key) {
-            return hit.clone();
-        }
-        let plan = self.compute(v, b);
-        self.memo.insert(key, plan.clone());
-        plan
-    }
-
-    fn compute(&mut self, v: NodeId, b: Weight) -> Option<Rc<Plan>> {
-        let g = self.graph;
-        let preds = g.preds(v).to_vec();
-        if preds.is_empty() {
-            let w = g.weight(v);
-            if w > b {
-                return None;
-            }
-            return Some(Rc::new(Plan::Leaf {
-                v,
-                cost: self.costs.load * w,
-            }));
-        }
-        let k = preds.len();
-        assert!(
-            k <= 20,
-            "k-ary DP supports in-degree <= 20 (got {k}); the paper targets k = O(log log n)"
-        );
-        let wsum: Weight = preds.iter().map(|&p| g.weight(p)).sum();
-        // Feasibility: v and all parents simultaneously red at M3(v).
-        if g.weight(v).checked_add(wsum).is_none_or(|s| s > b) {
-            return None;
-        }
-
-        // Held–Karp over (processed subset, kept weight): kept weight is the
-        // only channel through which earlier keep decisions affect later
-        // parents' budgets, so it is a sufficient statistic for δ.  Keys are
-        // `pack_key(subset mask, kept weight)` — one `u128` per state.
-        #[derive(Clone)]
-        struct Partial {
-            cost: Weight,
-            /// (parent index, plan, keep) appended in order.
-            order: Vec<(usize, Rc<Plan>, bool)>,
-        }
-        let mut frontier: FastHashMap<u128, Partial> = FastHashMap::default();
-        frontier.insert(
-            pack_key(0, 0),
-            Partial {
-                cost: 0,
-                order: Vec::new(),
-            },
-        );
-        let full = (1u64 << k) - 1;
-        for _ in 0..k {
-            let mut next: FastHashMap<u128, Partial> = FastHashMap::default();
-            for (&state, partial) in &frontier {
-                let (mask, kept) = ((state >> 64) as u64, state as u64 as Weight);
-                for (i, &p) in preds.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        continue;
-                    }
-                    if kept >= b {
-                        continue;
-                    }
-                    let sub_budget = b - kept;
-                    let Some(plan) = self.pebble(p, sub_budget) else {
-                        continue;
-                    };
-                    let wp = g.weight(p);
-                    for keep in [true, false] {
-                        let extra = if keep {
-                            0
-                        } else {
-                            (self.costs.load + self.costs.store) * wp
-                        };
-                        let nkept = if keep { kept + wp } else { kept };
-                        let ncost = partial.cost + plan.cost() + extra;
-                        let key = pack_key(mask | (1 << i), nkept);
-                        let better = next.get(&key).is_none_or(|e| ncost < e.cost);
-                        if better {
-                            let mut order = partial.order.clone();
-                            order.push((i, plan.clone(), keep));
-                            next.insert(key, Partial { cost: ncost, order });
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-
-        let best = frontier
-            .iter()
-            .filter(|(&state, _)| (state >> 64) as u64 == full)
-            .min_by_key(|(_, partial)| partial.cost)?;
-        let order = best
-            .1
-            .order
-            .iter()
-            .map(|(i, plan, keep)| (preds[*i], plan.clone(), *keep))
-            .collect();
-        Some(Rc::new(Plan::Node {
-            v,
-            order,
-            cost: best.1.cost,
-        }))
-    }
-}
+use crate::tree_dp::TreeDp;
+use pebblyn_core::{pack_key, Cdag, FastHashMap, NodeId, Schedule, Weight};
 
 /// Sufficient condition for Eq. (6)'s contiguity restriction to be lossless
 /// on `tree`: every computed node is no heavier than the lightest node in
@@ -250,13 +88,7 @@ pub fn min_cost(tree: &Cdag, budget: Weight) -> Option<Weight> {
 pub fn min_cost_with_costs(tree: &Cdag, budget: Weight, costs: IoCosts) -> Option<Weight> {
     let root = tree_root(tree);
     with_large_stack(|| {
-        let mut dp = Dp {
-            graph: tree,
-            costs,
-            memo: FastHashMap::default(),
-        };
-        dp.pebble(root, budget)
-            .map(|plan| plan.cost() + costs.store * tree.weight(root))
+        TreeDp::new(tree, costs, &MemoryStates::none()).forest_cost(&[root], budget)
     })
 }
 
@@ -269,17 +101,7 @@ pub fn schedule(tree: &Cdag, budget: Weight) -> Option<Schedule> {
 pub fn schedule_with_costs(tree: &Cdag, budget: Weight, costs: IoCosts) -> Option<Schedule> {
     let root = tree_root(tree);
     with_large_stack(|| {
-        let mut dp = Dp {
-            graph: tree,
-            costs,
-            memo: FastHashMap::default(),
-        };
-        let plan = dp.pebble(root, budget)?;
-        let mut moves = Vec::new();
-        plan.emit(&mut moves);
-        moves.push(Move::Store(root));
-        moves.push(Move::Delete(root));
-        Some(Schedule::from_moves(moves))
+        TreeDp::new(tree, costs, &MemoryStates::none()).forest_schedule(&[root], budget)
     })
 }
 

@@ -15,6 +15,10 @@
 //! | [`mod@min_memory`] | Def. 2.6 | minimum-fast-memory search over any scheduler |
 //! | [`multi`] | multiprocessor WRBPG | per-processor red sets: level partitioning and communication-aware list scheduling |
 //!
+//! [`dwt_opt`], [`kary`] and [`memstate`] are fronts for one tree dynamic
+//! program (Eq. (8), which covers Eq. (2) and (6)): a cost-only memo plus
+//! one traceback walk that emits the schedule.
+//!
 //! Every generator's output is designed to be checked with
 //! [`pebblyn_core::validate_schedule`]; the test-suites of this crate do so
 //! systematically, and additionally certify optimality of the dynamic
@@ -50,6 +54,7 @@ mod multi_sim;
 pub mod mvm_tiling;
 pub mod naive;
 pub mod stack;
+mod tree_dp;
 
 pub use api::{by_name, execute, execute_with, registry, ExecuteError, ScheduleError, Scheduler};
 pub use min_memory::{min_memory, MinMemoryOptions};

@@ -13,17 +13,22 @@
 //! the parent computed *first* gives up budget for the other subtree's
 //! initial-state nodes (they occupy fast memory the whole time), and the
 //! parent computed *second* gives up budget for the first subtree's reuse
-//! nodes (they must stay resident).
+//! nodes (they must stay resident).  The paper writes Eq. (8) for `k = 2`
+//! and notes the k-ary procedure extends; trees of any in-degree are
+//! covered.
 //!
-//! Beyond the cost recursion ([`min_cost`]), [`plan`] emits the move
-//! sequence realising `P_m` as a [`ContextSchedule`] — not a standalone
-//! WRBPG game (the initial-state nodes carry red pebbles before the first
-//! move) but exactly the building block §4.3 stitches into full tiling
-//! schedules; the test suite performs that stitching on a real MVM graph
-//! and validates the result with the ordinary validator.
+//! This module is a front for the crate's one tree DP.  Beyond the cost
+//! recursion ([`min_cost`]), [`plan`] emits the move sequence realising
+//! `P_m` as a [`ContextSchedule`] — not a standalone WRBPG game (the
+//! initial-state nodes carry red pebbles before the first move) but exactly
+//! the building block §4.3 stitches into full tiling schedules; the test
+//! suite performs that stitching on a real MVM graph and validates the
+//! result with the ordinary validator.
 
+use crate::dwt_opt::IoCosts;
 use crate::stack::with_large_stack;
-use pebblyn_core::{pack_key, Cdag, FastHashMap, NodeId, Weight};
+use crate::tree_dp::TreeDp;
+use pebblyn_core::{Cdag, NodeId, Schedule, Weight};
 use std::collections::BTreeSet;
 
 /// User-provided initial and reuse fast-memory states.
@@ -53,433 +58,24 @@ impl MemoryStates {
     }
 }
 
-/// Per-node projections of the global `I`/`R` sets onto subtrees.
-struct Projections {
-    /// Σ weights of `I ∩ (pred(v) ∪ {v})`.
-    i_weight: Vec<Weight>,
-    /// Σ weights of `R ∩ (pred(v) ∪ {v})`.
-    r_weight: Vec<Weight>,
-    /// Σ weights of `(R \ I) ∩ (pred(v) ∪ {v})`.
-    r_minus_i_weight: Vec<Weight>,
-    in_i: Vec<bool>,
-    in_r: Vec<bool>,
-}
-
-fn project(tree: &Cdag, states: &MemoryStates) -> Projections {
-    let n = tree.len();
-    let mut p = Projections {
-        i_weight: vec![0; n],
-        r_weight: vec![0; n],
-        r_minus_i_weight: vec![0; n],
-        in_i: vec![false; n],
-        in_r: vec![false; n],
-    };
-    for &v in &states.initial {
-        p.in_i[v.index()] = true;
-    }
-    for &v in &states.reuse {
-        p.in_r[v.index()] = true;
-    }
-    // In an in-tree, pred(v) ∪ {v} is the disjoint union of the children's
-    // subtrees plus v itself, so the projected weights accumulate in
-    // topological order.
-    for &v in tree.topo_order() {
-        let i = v.index();
-        let w = tree.weight(v);
-        let mut iw = if p.in_i[i] { w } else { 0 };
-        let mut rw = if p.in_r[i] { w } else { 0 };
-        let mut rmiw = if p.in_r[i] && !p.in_i[i] { w } else { 0 };
-        for &c in tree.preds(v) {
-            iw += p.i_weight[c.index()];
-            rw += p.r_weight[c.index()];
-            rmiw += p.r_minus_i_weight[c.index()];
-        }
-        p.i_weight[i] = iw;
-        p.r_weight[i] = rw;
-        p.r_minus_i_weight[i] = rmiw;
-    }
-    p
-}
-
-struct Dp<'a> {
-    tree: &'a Cdag,
-    proj: Projections,
-    /// Keyed by [`pack_key`]`(node, budget)` — one `u128` per state.
-    memo: FastHashMap<u128, Option<Weight>>,
-}
-
-impl<'a> Dp<'a> {
-    /// `P_m(v, b, I_v, R_v)` — Eq. (8).
-    fn pm(&mut self, v: NodeId, b: Weight) -> Option<Weight> {
-        let key = pack_key(v.index() as u64, b);
-        if let Some(&hit) = self.memo.get(&key) {
-            return hit;
-        }
-        let result = self.compute(v, b);
-        self.memo.insert(key, result);
-        result
-    }
-
-    fn compute(&mut self, v: NodeId, b: Weight) -> Option<Weight> {
-        let t = self.tree;
-        let i = v.index();
-        // Budget feasibility: R_v ∪ H(v) ∪ {v} must fit simultaneously.
-        let mut occupancy = self.proj.r_weight[i];
-        if !self.proj.in_r[i] {
-            occupancy += t.weight(v);
-        }
-        for &p in t.preds(v) {
-            if !self.proj.in_r[p.index()] {
-                occupancy += t.weight(p);
-            }
-        }
-        if occupancy > b {
-            return None;
-        }
-
-        // Case: v already resident — only the reuse nodes missing from the
-        // initial state must be brought in.
-        if self.proj.in_i[i] {
-            return Some(self.proj.r_minus_i_weight[i]);
-        }
-        let preds = t.preds(v);
-        // Case: input node.
-        if preds.is_empty() {
-            return Some(t.weight(v));
-        }
-        if preds.len() != 2 {
-            // The paper writes Eq. (8) for k = 2 and notes the k-ary
-            // procedure extends; the general case runs the same subset DP
-            // as the Eq. (6) scheduler with the memory-state budget
-            // adjustments.
-            let preds = preds.to_vec();
-            return self.compute_kary(v, b, &preds);
-        }
-        let (p1, p2) = (preds[0], preds[1]);
-        let (w1, w2) = (t.weight(p1), t.weight(p2));
-        let i1 = self.proj.i_weight[p1.index()];
-        let i2 = self.proj.i_weight[p2.index()];
-        let r1 = self.proj.r_weight[p1.index()];
-        let r2 = self.proj.r_weight[p2.index()];
-        // `R_{p} ∪ {p}`: add p's weight unless p is already in R.
-        let r1p = r1 + if self.proj.in_r[p1.index()] { 0 } else { w1 };
-        let r2p = r2 + if self.proj.in_r[p2.index()] { 0 } else { w2 };
-
-        let mut best: Option<Weight> = None;
-        let consider = |c: Option<Weight>, best: &mut Option<Weight>| {
-            if let Some(c) = c {
-                if best.is_none_or(|b| c < b) {
-                    *best = Some(c);
-                }
-            }
-        };
-
-        // p1 first, spilled (blue): 2·w_p1 round trip.
-        consider(self.two_phase(p1, p2, b, i2, r1, 2 * w1), &mut best);
-        // p1 first, kept red.
-        consider(self.two_phase(p1, p2, b, i2, r1p, 0), &mut best);
-        // p2 first, spilled.
-        consider(self.two_phase(p2, p1, b, i1, r2, 2 * w2), &mut best);
-        // p2 first, kept red.
-        consider(self.two_phase(p2, p1, b, i1, r2p, 0), &mut best);
-        best
-    }
-
-    /// The Eq. (8) recursion generalised to in-degree `k`: a Held–Karp
-    /// subset DP over (processed parents, held weight), where
-    ///
-    /// * an *unprocessed* parent's subtree contributes its initial-state
-    ///   weight (those nodes sit in fast memory until consumed), and
-    /// * a *processed* parent's subtree contributes its reuse weight, plus
-    ///   the parent itself when kept red (`δ = 1`); spilling (`δ = 0`)
-    ///   costs a round trip `2·w`.
-    fn compute_kary(&mut self, _v: NodeId, b: Weight, preds: &[NodeId]) -> Option<Weight> {
-        let k = preds.len();
-        assert!(k <= 20, "k-ary memory-state DP supports in-degree <= 20");
-        let t = self.tree;
-        let total_initial: Weight = preds.iter().map(|&p| self.proj.i_weight[p.index()]).sum();
-
-        // frontier: pack_key(mask, held weight) -> best cost.
-        let mut frontier: FastHashMap<u128, Weight> = FastHashMap::default();
-        frontier.insert(pack_key(0, 0), 0);
-        let full = (1u64 << k) - 1;
-        let mut processed_initial: FastHashMap<u64, Weight> = FastHashMap::default();
-        processed_initial.insert(0, 0);
-        for _ in 0..k {
-            let mut next: FastHashMap<u128, Weight> = FastHashMap::default();
-            for (&state, &cost) in &frontier {
-                let (mask, held) = ((state >> 64) as u64, state as u64 as Weight);
-                let done_initial = processed_initial[&mask];
-                for (i, &p) in preds.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        continue;
-                    }
-                    let pi = p.index();
-                    // Other unprocessed parents' initial nodes stay
-                    // resident while p's subtree is computed.
-                    let other_initial = total_initial - done_initial - self.proj.i_weight[pi];
-                    let Some(sub_budget) = b.checked_sub(other_initial + held) else {
-                        continue;
-                    };
-                    let Some(sub_cost) = self.pm(p, sub_budget) else {
-                        continue;
-                    };
-                    let nmask = mask | (1 << i);
-                    processed_initial
-                        .entry(nmask)
-                        .or_insert(done_initial + self.proj.i_weight[pi]);
-                    let keep_extra = if self.proj.in_r[pi] { 0 } else { t.weight(p) };
-                    for (delta_held, extra) in [
-                        // keep the parent red for the remaining parents
-                        (self.proj.r_weight[pi] + keep_extra, 0),
-                        // spill it: store + reload
-                        (self.proj.r_weight[pi], 2 * t.weight(p)),
-                    ] {
-                        let key = pack_key(nmask, held + delta_held);
-                        let ncost = cost + sub_cost + extra;
-                        let slot = next.entry(key).or_insert(Weight::MAX);
-                        if ncost < *slot {
-                            *slot = ncost;
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-        frontier
-            .iter()
-            .filter(|(&state, _)| (state >> 64) as u64 == full)
-            .map(|(_, &c)| c)
-            .min()
-    }
-
-    /// Cost of computing `first` with the other subtree's initial nodes
-    /// resident, then `second` with `held` weight (first subtree's reuse
-    /// nodes, possibly plus the first parent) resident, plus `extra`.
-    fn two_phase(
-        &mut self,
-        first: NodeId,
-        second: NodeId,
-        b: Weight,
-        other_initial: Weight,
-        held: Weight,
-        extra: Weight,
-    ) -> Option<Weight> {
-        let b1 = b.checked_sub(other_initial)?;
-        let b2 = b.checked_sub(held)?;
-        let c1 = self.pm(first, b1)?;
-        let c2 = self.pm(second, b2)?;
-        Some(c1 + c2 + extra)
-    }
-}
-
 /// A context schedule produced by [`plan`]: a move sequence that computes
 /// the subtree root *given* the initial state already resident.
 ///
 /// It is not a standalone WRBPG game (the initial-state nodes carry red
-/// pebbles before the first move), so it is validated with
-/// [`validate_in_context`] — or by embedding it into a larger schedule
-/// that established the context, which is exactly how §4.3 stitches tile
-/// schedules together.
+/// pebbles before the first move), so it is checked by embedding it into a
+/// larger schedule that establishes the context — exactly how §4.3 stitches
+/// tile schedules together — and validating that with the ordinary
+/// validator.
 #[derive(Debug, Clone)]
 pub struct ContextSchedule {
     /// The moves, starting from "initial-state nodes red, sources blue".
-    pub schedule: pebblyn_core::Schedule,
+    pub schedule: Schedule,
     /// The DP-certified cost (equals the replayed M1/M2 weight).
     pub cost: Weight,
 }
 
-/// Plan-carrying variant of the binary Eq. (8) DP: memoises decisions and
-/// emits the move sequence.
-/// Memoised planner entry: certified cost plus the decision tree.
-type PlanEntry = Option<(Weight, std::rc::Rc<MPlan>)>;
-
-struct Planner<'a> {
-    tree: &'a Cdag,
-    proj: Projections,
-    /// Keyed by [`pack_key`]`(node, budget)` — one `u128` per state.
-    memo: FastHashMap<u128, PlanEntry>,
-}
-
-#[derive(Debug)]
-enum MPlan {
-    /// `v ∈ I`: nothing to compute; bring in the reuse nodes missing from
-    /// the initial state.
-    Resident { v: NodeId },
-    /// Input node: load it.
-    Leaf { v: NodeId },
-    /// Internal node: compute `first` then `second` (optionally spilling
-    /// the first parent in between), then `v`; release parents not in `R`.
-    Node {
-        v: NodeId,
-        first: std::rc::Rc<MPlan>,
-        second: std::rc::Rc<MPlan>,
-        parents: (NodeId, NodeId),
-        spill_first: bool,
-    },
-}
-
-impl<'a> Planner<'a> {
-    fn pm(&mut self, v: NodeId, b: Weight) -> Option<(Weight, std::rc::Rc<MPlan>)> {
-        let key = pack_key(v.index() as u64, b);
-        if let Some(hit) = self.memo.get(&key) {
-            return hit.clone();
-        }
-        let result = self.compute(v, b);
-        self.memo.insert(key, result.clone());
-        result
-    }
-
-    fn compute(&mut self, v: NodeId, b: Weight) -> Option<(Weight, std::rc::Rc<MPlan>)> {
-        use std::rc::Rc;
-        let t = self.tree;
-        let i = v.index();
-        let mut occupancy = self.proj.r_weight[i];
-        if !self.proj.in_r[i] {
-            occupancy += t.weight(v);
-        }
-        for &p in t.preds(v) {
-            if !self.proj.in_r[p.index()] {
-                occupancy += t.weight(p);
-            }
-        }
-        if occupancy > b {
-            return None;
-        }
-        if self.proj.in_i[i] {
-            return Some((
-                self.proj.r_minus_i_weight[i],
-                Rc::new(MPlan::Resident { v }),
-            ));
-        }
-        let preds = t.preds(v);
-        if preds.is_empty() {
-            return Some((t.weight(v), Rc::new(MPlan::Leaf { v })));
-        }
-        if preds.len() == 1 {
-            // Unary node: compute the parent, then v.
-            let p = preds[0];
-            let (c, pl) = self.pm(p, b)?;
-            return Some((
-                c,
-                Rc::new(MPlan::Node {
-                    v,
-                    first: pl.clone(),
-                    second: pl,
-                    parents: (p, p),
-                    spill_first: false,
-                }),
-            ));
-        }
-        assert_eq!(preds.len(), 2, "plan emission covers trees with k <= 2");
-        let (p1, p2) = (preds[0], preds[1]);
-        let (w1, w2) = (t.weight(p1), t.weight(p2));
-        let i1 = self.proj.i_weight[p1.index()];
-        let i2 = self.proj.i_weight[p2.index()];
-        let r1 = self.proj.r_weight[p1.index()];
-        let r2 = self.proj.r_weight[p2.index()];
-        let r1p = r1 + if self.proj.in_r[p1.index()] { 0 } else { w1 };
-        let r2p = r2 + if self.proj.in_r[p2.index()] { 0 } else { w2 };
-
-        let mut best: Option<(Weight, Rc<MPlan>)> = None;
-        // Keep-red strategies first so spills never win ties (a spill of a
-        // reuse-state parent would violate the R semantics on emission).
-        for (first, second, parents, held, extra, spill) in [
-            (p1, p2, (p1, p2), r1p, 0, false),
-            (p2, p1, (p2, p1), r2p, 0, false),
-            (p1, p2, (p1, p2), r1, 2 * w1, true),
-            (p2, p1, (p2, p1), r2, 2 * w2, true),
-        ] {
-            let other_initial = if first == p1 { i2 } else { i1 };
-            let Some(b1) = b.checked_sub(other_initial) else {
-                continue;
-            };
-            let Some(b2) = b.checked_sub(held) else {
-                continue;
-            };
-            let (Some((c1, pl1)), Some((c2, pl2))) = (self.pm(first, b1), self.pm(second, b2))
-            else {
-                continue;
-            };
-            let cost = c1 + c2 + extra;
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((
-                    cost,
-                    Rc::new(MPlan::Node {
-                        v,
-                        first: pl1,
-                        second: pl2,
-                        parents,
-                        spill_first: spill,
-                    }),
-                ));
-            }
-        }
-        best
-    }
-
-    fn emit(&self, plan: &MPlan, out: &mut Vec<pebblyn_core::Move>) {
-        use pebblyn_core::Move;
-        match plan {
-            MPlan::Resident { v } => {
-                // Bring in the reuse nodes of this subtree that the initial
-                // state does not already hold.
-                for r in self.subtree_reuse_missing(*v) {
-                    out.push(Move::Load(r));
-                }
-            }
-            MPlan::Leaf { v } => out.push(Move::Load(*v)),
-            MPlan::Node {
-                v,
-                first,
-                second,
-                parents,
-                spill_first,
-            } => {
-                let unary = parents.0 == parents.1;
-                self.emit(first, out);
-                if *spill_first {
-                    out.push(Move::Store(parents.0));
-                    out.push(Move::Delete(parents.0));
-                }
-                if !unary {
-                    self.emit(second, out);
-                }
-                if *spill_first {
-                    out.push(Move::Load(parents.0));
-                }
-                out.push(Move::Compute(*v));
-                let to_release: &[NodeId] = if unary {
-                    &[parents.0]
-                } else {
-                    &[parents.0, parents.1]
-                };
-                for &p in to_release {
-                    if !self.proj.in_r[p.index()] {
-                        out.push(Move::Delete(p));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Nodes of `pred(v) ∪ {v}` that are in `R` but not in `I`, in
-    /// discovery order.
-    fn subtree_reuse_missing(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            if self.proj.in_r[u.index()] && !self.proj.in_i[u.index()] {
-                out.push(u);
-            }
-            stack.extend_from_slice(self.tree.preds(u));
-        }
-        out
-    }
-}
-
-/// Generate a context schedule realising `P_m(root, budget, I, R)`
-/// (binary trees only), or `None` when infeasible.
+/// Generate a context schedule realising `P_m(root, budget, I, R)`, or
+/// `None` when infeasible.
 ///
 /// The schedule assumes every node of `states.initial` is already red
 /// (with a blue copy) when it starts; on completion the root is red and
@@ -488,113 +84,23 @@ pub fn plan(tree: &Cdag, budget: Weight, states: &MemoryStates) -> Option<Contex
     assert!(tree.is_in_tree(), "memory-state DP requires an in-tree");
     let root = tree.sinks()[0];
     with_large_stack(|| {
-        let mut planner = Planner {
-            tree,
-            proj: project(tree, states),
-            memo: FastHashMap::default(),
-        };
-        let (cost, mplan) = planner.pm(root, budget)?;
+        let mut dp = TreeDp::new(tree, IoCosts::default(), states);
+        let cost = dp.cost(root, budget)?;
         let mut moves = Vec::new();
-        planner.emit(&mplan, &mut moves);
+        dp.emit(root, budget, &mut moves);
         Some(ContextSchedule {
-            schedule: pebblyn_core::Schedule::from_moves(moves),
+            schedule: Schedule::from_moves(moves),
             cost,
         })
     })
-}
-
-/// Replay a context schedule under the memory-state semantics: the
-/// initial-state nodes start red (and blue), sources start blue, and at
-/// the end the root plus all projected reuse nodes must be red.  Checks
-/// the weighted budget after every move and returns the replayed I/O cost.
-pub fn validate_in_context(
-    tree: &Cdag,
-    budget: Weight,
-    states: &MemoryStates,
-    ctx: &ContextSchedule,
-) -> Result<Weight, String> {
-    use pebblyn_core::Move;
-    let root = tree.sinks()[0];
-    let mut red = vec![false; tree.len()];
-    let mut blue: Vec<bool> = tree.nodes().map(|v| tree.is_source(v)).collect();
-    let mut used: Weight = 0;
-    for &v in &states.initial {
-        red[v.index()] = true;
-        blue[v.index()] = true;
-        used += tree.weight(v);
-    }
-    // Reuse-state nodes are assumed to have blue copies (§4.1: "we assume
-    // that these nodes have blue pebbles and do not need to be
-    // recomputed").
-    for &v in &states.reuse {
-        blue[v.index()] = true;
-    }
-    let mut cost = 0;
-    for (step, mv) in ctx.schedule.iter().enumerate() {
-        let v = mv.node();
-        let i = v.index();
-        match mv {
-            Move::Load(_) => {
-                if !blue[i] {
-                    return Err(format!("step {step}: load of non-blue {v}"));
-                }
-                if !red[i] {
-                    red[i] = true;
-                    used += tree.weight(v);
-                }
-                cost += tree.weight(v);
-            }
-            Move::Store(_) => {
-                if !red[i] {
-                    return Err(format!("step {step}: store of non-red {v}"));
-                }
-                blue[i] = true;
-                cost += tree.weight(v);
-            }
-            Move::Compute(_) => {
-                if tree.is_source(v) {
-                    return Err(format!("step {step}: compute of source {v}"));
-                }
-                for &p in tree.preds(v) {
-                    if !red[p.index()] {
-                        return Err(format!("step {step}: operand {p} not red for {v}"));
-                    }
-                }
-                if !red[i] {
-                    red[i] = true;
-                    used += tree.weight(v);
-                }
-            }
-            Move::Delete(_) => {
-                if !red[i] {
-                    return Err(format!("step {step}: delete of non-red {v}"));
-                }
-                red[i] = false;
-                used -= tree.weight(v);
-            }
-        }
-        if used > budget {
-            return Err(format!("step {step}: budget exceeded ({used} > {budget})"));
-        }
-    }
-    if !red[root.index()] {
-        return Err("root not red at end".into());
-    }
-    for v in tree.nodes() {
-        let in_r = states.reuse.contains(&v);
-        if in_r && !red[v.index()] {
-            return Err(format!("reuse node {v} not red at end"));
-        }
-    }
-    Ok(cost)
 }
 
 /// Minimum weighted cost of computing the tree's root under `budget` with
 /// the given memory-state semantics, or `None` when infeasible.
 ///
 /// With `states = MemoryStates::none()` this equals the k-ary tree optimum
-/// (for binary trees) *without* the final root store: the stopping condition
-/// used by Eq. (8), like Eq. (2), is "root red".
+/// *without* the final root store: the stopping condition used by Eq. (8),
+/// like Eq. (2), is "root red".
 pub fn min_cost(tree: &Cdag, budget: Weight, states: &MemoryStates) -> Option<Weight> {
     assert!(tree.is_in_tree(), "memory-state DP requires an in-tree");
     let root = tree.sinks()[0];
@@ -608,14 +114,7 @@ pub fn min_cost_for(
     budget: Weight,
     states: &MemoryStates,
 ) -> Option<Weight> {
-    with_large_stack(|| {
-        let mut dp = Dp {
-            tree,
-            proj: project(tree, states),
-            memo: FastHashMap::default(),
-        };
-        dp.pm(v, budget)
-    })
+    with_large_stack(|| TreeDp::new(tree, IoCosts::default(), states).cost(v, budget))
 }
 
 #[cfg(test)]
@@ -626,8 +125,8 @@ mod tests {
     use pebblyn_graphs::tree::{caterpillar, full_kary};
     use pebblyn_graphs::WeightScheme;
 
-    /// Without states, P_m must match the k-ary optimum minus the final
-    /// root store (Eq. (8) stops at "root red").
+    /// Without states, P_m must match the literal Eq. (6) enumeration
+    /// minus the final root store (Eq. (8) stops at "root red").
     #[test]
     fn empty_states_match_kary() {
         for tree in [
@@ -639,7 +138,7 @@ mod tests {
             let minb = min_feasible_budget(&tree);
             for b in [minb, minb + 2, minb + 7, tree.total_weight()] {
                 let pm = min_cost(&tree, b, &MemoryStates::none());
-                let kt = kary::min_cost(&tree, b).map(|c| c - tree.weight(root));
+                let kt = kary::min_cost_bruteforce(&tree, b).map(|c| c - tree.weight(root));
                 assert_eq!(pm, kt, "budget {b}");
             }
         }
@@ -693,8 +192,8 @@ mod tests {
         assert!(min_cost(&tree, 100, &states).is_some());
     }
 
-    /// The k-ary generalisation with empty states matches the Eq. (6)
-    /// scheduler on trees of any arity.
+    /// The k-ary generalisation with empty states matches the literal
+    /// Eq. (6) enumeration on trees of any arity.
     #[test]
     fn kary_empty_states_match_eq6() {
         for tree in [
@@ -714,7 +213,7 @@ mod tests {
             let minb = min_feasible_budget(&tree);
             for b in [minb, minb + 3, minb + 11, tree.total_weight()] {
                 let pm = min_cost(&tree, b, &MemoryStates::none());
-                let kt = kary::min_cost(&tree, b).map(|c| c - tree.weight(root));
+                let kt = kary::min_cost_bruteforce(&tree, b).map(|c| c - tree.weight(root));
                 assert_eq!(pm, kt, "k-ary P_m vs Eq. (6) at budget {b}");
             }
         }
@@ -748,34 +247,60 @@ mod tests {
         assert!(min_cost(&tree, 39, &states).is_none());
     }
 
-    use pebblyn_core::Weight;
+    /// Embed a context schedule in a full game: load each initial-state
+    /// leaf, play the context moves, store the root, then delete each reuse
+    /// node, which the validator rejects unless the node is still red.
+    /// Returns the replayed cost minus those loads and the root store.
+    fn replay_in_full_game(
+        tree: &Cdag,
+        budget: Weight,
+        states: &MemoryStates,
+        ctx: &ContextSchedule,
+    ) -> Weight {
+        let root = tree.sinks()[0];
+        let moves: Vec<Move> = states
+            .initial
+            .iter()
+            .map(|&v| Move::Load(v))
+            .chain(ctx.schedule.iter())
+            .chain([Move::Store(root)])
+            .chain(states.reuse.iter().map(|&v| Move::Delete(v)))
+            .collect();
+        let stats = pebblyn_core::validate_schedule(tree, budget, &Schedule::from_moves(moves))
+            .unwrap_or_else(|e| panic!("budget {budget}, states {states:?}: {e}"));
+        let setup: Weight = states.initial.iter().map(|&v| tree.weight(v)).sum();
+        stats.cost - setup - tree.weight(root)
+    }
 
     /// The planner's cost always equals the cost-only DP, and its emitted
-    /// context schedule replays to the same cost under the memory-state
-    /// semantics.
+    /// context schedule, embedded in a full game, replays to the same cost
+    /// — on a binary and a ternary tree.
     #[test]
     fn plans_match_costs_and_validate() {
-        let tree = full_kary(2, 3, WeightScheme::DoubleAccumulator(2)).unwrap();
-        let leaves = tree.sources();
-        let cases = [
-            MemoryStates::none(),
-            MemoryStates::new(leaves.iter().copied().take(2), []),
-            MemoryStates::new(
-                leaves.iter().copied().take(1),
-                leaves.iter().copied().take(1),
-            ),
-            MemoryStates::new([], leaves.iter().copied().take(2)),
-        ];
-        let minb = min_feasible_budget(&tree);
-        for states in &cases {
-            for b in [minb, minb + 4, minb + 10, tree.total_weight()] {
-                let cost = min_cost(&tree, b, states);
-                let ctx = plan(&tree, b, states);
-                assert_eq!(cost, ctx.as_ref().map(|c| c.cost), "budget {b}");
-                if let Some(ctx) = ctx {
-                    let replayed = validate_in_context(&tree, b, states, &ctx)
-                        .unwrap_or_else(|e| panic!("budget {b}, states {states:?}: {e}"));
-                    assert_eq!(replayed, ctx.cost);
+        for tree in [
+            full_kary(2, 3, WeightScheme::DoubleAccumulator(2)).unwrap(),
+            full_kary(3, 2, WeightScheme::Equal(3)).unwrap(),
+        ] {
+            let leaves = tree.sources();
+            let cases = [
+                MemoryStates::none(),
+                MemoryStates::new(leaves.iter().copied().take(2), []),
+                MemoryStates::new(
+                    leaves.iter().copied().take(1),
+                    leaves.iter().copied().take(1),
+                ),
+                MemoryStates::new([], leaves.iter().copied().take(2)),
+                MemoryStates::new(leaves.iter().copied().skip(1).take(3), leaves[..2].to_vec()),
+            ];
+            let minb = min_feasible_budget(&tree);
+            for states in &cases {
+                for b in [minb, minb + 4, minb + 10, tree.total_weight()] {
+                    let cost = min_cost(&tree, b, states);
+                    let ctx = plan(&tree, b, states);
+                    assert_eq!(cost, ctx.as_ref().map(|c| c.cost), "budget {b}");
+                    if let Some(ctx) = ctx {
+                        assert_eq!(replay_in_full_game(&tree, b, states, &ctx), ctx.cost);
+                    }
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Big-stack helper for deeply recursive dynamic programs.
 //!
-//! The tree DPs recurse to the depth of the input tree.  DWT trees are
-//! logarithmic, but k-ary trees admit degenerate chains (`k = 1`) whose
-//! depth equals the node count; running the recursion on a dedicated thread
-//! with a large stack makes the schedulers robust to any input shape without
-//! rewriting the DPs as explicit worklists.
+//! The tree DP and its traceback recurse to the depth of the input tree.
+//! DWT trees are logarithmic, but k-ary trees admit degenerate chains
+//! (`k = 1`) whose depth equals the node count; running the recursion on a
+//! dedicated thread with a large stack makes the schedulers robust to any
+//! input shape without rewriting the DP as an explicit worklist.
 
 /// Stack size used for scheduler recursions: 256 MiB.
 pub const SCHEDULER_STACK_BYTES: usize = 256 * 1024 * 1024;

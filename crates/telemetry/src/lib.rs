@@ -51,10 +51,6 @@ pub enum Counter {
     /// States the exact search expanded again after a strictly cheaper path
     /// reopened them (only an inconsistent bound allows this).
     ReExpansions,
-    /// Engine memo lookups answered from cache.
-    MemoHits,
-    /// Engine memo lookups that had to compute.
-    MemoMisses,
     /// Moves emitted by heuristic schedulers through the registry surface.
     MovesEmitted,
     /// Conformance probes executed (scheduler × graph × budget points).
@@ -95,15 +91,13 @@ pub enum Counter {
 }
 
 /// All counters, in declaration (and output) order.
-pub const COUNTERS: [Counter; 24] = [
+pub const COUNTERS: [Counter; 22] = [
     Counter::StatesExpanded,
     Counter::StatesGenerated,
     Counter::DominancePruned,
     Counter::DedupPruned,
     Counter::SymmetryPruned,
     Counter::ReExpansions,
-    Counter::MemoHits,
-    Counter::MemoMisses,
     Counter::MovesEmitted,
     Counter::Probes,
     Counter::ProbesCertified,
@@ -132,8 +126,6 @@ impl Counter {
             Counter::DedupPruned => "dedup_pruned",
             Counter::SymmetryPruned => "symmetry_prunes",
             Counter::ReExpansions => "re_expansions",
-            Counter::MemoHits => "memo_hits",
-            Counter::MemoMisses => "memo_misses",
             Counter::MovesEmitted => "moves_emitted",
             Counter::Probes => "probes",
             Counter::ProbesCertified => "probes_certified",
@@ -427,12 +419,12 @@ mod tests {
     #[test]
     fn counters_and_gauges_accumulate() {
         isolated(|| {
-            add(Counter::MemoHits, 3);
-            incr(Counter::MemoHits);
+            add(Counter::MovesEmitted, 3);
+            incr(Counter::MovesEmitted);
             gauge_max(Gauge::OpenListPeak, 7);
             gauge_max(Gauge::OpenListPeak, 4);
             let snap = snapshot();
-            assert_eq!(snap.counter("memo_hits"), Some(4));
+            assert_eq!(snap.counter("moves_emitted"), Some(4));
             assert_eq!(snap.gauge("open_list_peak"), Some(7));
             assert_eq!(snap.counter("no_such"), None);
         });

@@ -380,7 +380,7 @@ mod tests {
 
     fn snap() -> Snapshot {
         Snapshot {
-            counters: vec![("states_expanded", 42), ("memo_hits", 0)],
+            counters: vec![("states_expanded", 42), ("moves_emitted", 0)],
             gauges: vec![("open_list_peak", 9)],
             spans_ns: vec![("solve", 1234)],
         }
@@ -392,7 +392,7 @@ mod tests {
         let rec = validate_line(&line).expect("valid");
         assert_eq!(rec.label, "exact mesh16");
         assert_eq!(rec.counters["states_expanded"], 42);
-        assert_eq!(rec.counters["memo_hits"], 0);
+        assert_eq!(rec.counters["moves_emitted"], 0);
         assert_eq!(rec.gauges["open_list_peak"], 9);
         assert_eq!(rec.spans_ns["solve"], 1234);
     }
@@ -439,7 +439,10 @@ mod tests {
         let text = report(&recs);
         assert!(text.contains("run: r1"));
         assert!(text.contains("states_expanded"));
-        assert!(!text.contains("memo_hits"), "zero metric should be omitted");
+        assert!(
+            !text.contains("moves_emitted"),
+            "zero metric should be omitted"
+        );
         assert!(text.contains("ms"));
     }
 }

@@ -134,7 +134,7 @@ mod tests {
         Event::Run {
             label: "t".into(),
             snapshot: Snapshot {
-                counters: vec![("states_expanded", 5), ("memo_hits", 0)],
+                counters: vec![("states_expanded", 5), ("moves_emitted", 0)],
                 gauges: vec![("open_list_peak", 3)],
                 spans_ns: vec![("solve", 1_500_000)],
             },

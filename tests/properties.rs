@@ -156,12 +156,12 @@ proptest! {
     }
 
     /// The memory-state planner (Eq. 8 with emission) always matches the
-    /// cost-only DP and replays to the same cost under the context
-    /// semantics — on random binary trees with random initial/reuse sets.
+    /// cost-only DP, and its context schedule, embedded in a full game,
+    /// replays to the same cost — on random binary trees with random
+    /// initial/reuse sets.
     #[test]
     fn memstate_planner_matches_cost_dp(seed in 0u64..3000, internal in 1usize..6) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // Binary trees only (the planner covers k = 2).
         let t = tree::random_weighted_tree(internal, 2, 1..=6, &mut rng).unwrap();
         prop_assume!(t.max_in_degree() <= 2);
         // Random states: each leaf flips into I and/or R with p = 1/3.
@@ -179,9 +179,18 @@ proptest! {
             let ctx = memstate::plan(&t, b, &states);
             prop_assert_eq!(cost, ctx.as_ref().map(|c| c.cost), "budget {}", b);
             if let Some(ctx) = ctx {
-                let replayed = memstate::validate_in_context(&t, b, &states, &ctx)
+                // Load the initial state, play the context, store the root,
+                // then delete each reuse node (rejected unless still red).
+                let root = t.sinks()[0];
+                let moves: Vec<Move> = states.initial.iter().map(|&v| Move::Load(v))
+                    .chain(ctx.schedule.iter())
+                    .chain([Move::Store(root)])
+                    .chain(states.reuse.iter().map(|&v| Move::Delete(v)))
+                    .collect();
+                let stats = validate_schedule(&t, b, &Schedule::from_moves(moves))
                     .map_err(|e| TestCaseError::fail(format!("b={b}: {e}")))?;
-                prop_assert_eq!(replayed, ctx.cost);
+                let setup: Weight = states.initial.iter().map(|&v| t.weight(v)).sum();
+                prop_assert_eq!(stats.cost - setup - t.weight(root), ctx.cost);
             }
         }
     }
