@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! telemetry_check <file.jsonl> [--runs N] [--nonzero COUNTER]...
-//!                 [--nonzero-gauge GAUGE] [--expect COUNTER=VALUE]...
+//!                 [--nonzero-gauge GAUGE]...
 //! ```
 //!
 //! Parses every line against the `pebblyn-telemetry/v1` schema and applies
@@ -20,7 +20,6 @@ struct Checks {
     runs: Option<usize>,
     nonzero: Vec<String>,
     nonzero_gauge: Vec<String>,
-    expect: Vec<(String, u64)>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Checks, String> {
@@ -29,7 +28,6 @@ fn parse_args(argv: &[String]) -> Result<Checks, String> {
         runs: None,
         nonzero: Vec::new(),
         nonzero_gauge: Vec::new(),
-        expect: Vec::new(),
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -48,16 +46,6 @@ fn parse_args(argv: &[String]) -> Result<Checks, String> {
             }
             "--nonzero" => checks.nonzero.push(value("--nonzero")?),
             "--nonzero-gauge" => checks.nonzero_gauge.push(value("--nonzero-gauge")?),
-            "--expect" => {
-                let v = value("--expect")?;
-                let (name, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --expect {v:?} (want COUNTER=VALUE)"))?;
-                let val = val
-                    .parse()
-                    .map_err(|e| format!("bad --expect value {val:?}: {e}"))?;
-                checks.expect.push((name.to_string(), val));
-            }
             other if checks.path.is_empty() && !other.starts_with("--") => {
                 checks.path = other.to_string();
             }
@@ -66,8 +54,7 @@ fn parse_args(argv: &[String]) -> Result<Checks, String> {
     }
     if checks.path.is_empty() {
         return Err("usage: telemetry_check <file.jsonl> [--runs N] \
-                    [--nonzero COUNTER]... [--nonzero-gauge GAUGE]... \
-                    [--expect COUNTER=VALUE]..."
+                    [--nonzero COUNTER]... [--nonzero-gauge GAUGE]..."
             .into());
     }
     Ok(checks)
@@ -104,12 +91,6 @@ fn check(checks: &Checks) -> Result<(), String> {
             .unwrap_or(0);
         if peak == 0 {
             return Err(format!("gauge {name} is zero across all runs"));
-        }
-    }
-    for (name, want) in &checks.expect {
-        let got = total(name);
-        if got != *want {
-            return Err(format!("counter {name}: expected {want}, got {got}"));
         }
     }
     Ok(())

@@ -552,10 +552,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             workers,
             cache,
         } => {
-            let service = std::sync::Arc::new(Service::new(&ServiceConfig {
-                cache,
-                ..ServiceConfig::default()
-            }));
+            let service = std::sync::Arc::new(Service::new(&ServiceConfig { cache }));
             let server = Server::start(
                 std::sync::Arc::clone(&service),
                 &ServerConfig {

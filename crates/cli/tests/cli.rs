@@ -405,6 +405,9 @@ fn registry_names_are_accepted_directly() {
     assert!(stdout.contains("optimal DP (Algorithm 1)"), "{stdout}");
 }
 
+/// Two identical requests over stdio: a miss, then a cache hit with the
+/// same answer, then the shutdown ack.  `--telemetry` must flush one
+/// `serve` record at shutdown that counts exactly that traffic.
 #[test]
 fn serve_answers_framed_requests_over_stdio() {
     use pebblyn::prelude::{ScheduleRequest, WeightScheme, Workload};
@@ -430,8 +433,14 @@ fn serve_answers_framed_requests_over_stdio() {
     wire::write_frame(&mut input, &wire::encode_request(&request(2))).unwrap();
     wire::write_frame(&mut input, &wire::encode_shutdown()).unwrap();
 
+    let telemetry = std::env::temp_dir().join(format!(
+        "pebblyn-cli-serve-telemetry-{}.jsonl",
+        std::process::id()
+    ));
     let mut child = Command::new(env!("CARGO_BIN_EXE_pebblyn"))
         .arg("serve")
+        .arg("--telemetry")
+        .arg(&telemetry)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -467,6 +476,20 @@ fn serve_answers_framed_requests_over_stdio() {
         .collect();
     assert_eq!(costs[0], costs[1], "cache hit must not change the answer");
     assert!(matches!(frames[2], Frame::Shutdown));
+
+    let text = std::fs::read_to_string(&telemetry).expect("telemetry file");
+    let _ = std::fs::remove_file(&telemetry);
+    let records = pebblyn::telemetry::schema::validate_jsonl(&text).expect("schema-valid");
+    assert_eq!(records.len(), 1, "one record, flushed at shutdown: {text}");
+    assert_eq!(records[0].label, "serve");
+    for (counter, want) in [
+        ("service_requests", 2),
+        ("service_cache_hits", 1),
+        ("service_cache_misses", 1),
+        ("service_shed", 0),
+    ] {
+        assert_eq!(records[0].counters.get(counter), Some(&want), "{counter}");
+    }
 }
 
 #[test]

@@ -259,7 +259,8 @@ pub fn check(
     match (asym_sol, sym_sol) {
         (Ok(asym), Ok(sym)) => match (asym.cost, sym.cost.zip(sym.schedule)) {
             (Some(asym), Some((_, sym_sched))) => {
-                let upper = sym_sched.scaled_io_cost(g, ls, ss);
+                // A scaled replay past u64::MAX bounds no u64 optimum.
+                let upper = sym_sched.scaled_io_cost(g, ls, ss).unwrap_or(Weight::MAX);
                 let lower = ls.min(ss) * opt;
                 if asym < lower || asym > upper {
                     push(

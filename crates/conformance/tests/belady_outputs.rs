@@ -12,11 +12,12 @@
 //! order, or a feasibility verdict shows up here as a digest mismatch.
 //!
 //! Inputs: the first 200 cases of the conformance corpus at seed 17; the
-//! nine conv shapes the load generator sends; and one random layered DAG
-//! whose 1,600-wide layers put next uses beyond topo-window's 1,024-step
-//! lookahead, so its clamped "beyond the window" keys are exercised.
+//! nine conv shapes of the benchmark's serve-repeat trace (`perfbench/`,
+//! without its size jitter); and one random layered DAG whose 1,600-wide
+//! layers put next uses beyond topo-window's 1,024-step lookahead, so its
+//! clamped "beyond the window" keys are exercised.
 //! Budgets: the Proposition 2.3 minimum, the minimum plus half the total
-//! weight (the load generator's budget), and the total weight.
+//! weight (serve-repeat's budget), and the total weight.
 
 use pebblyn_conformance::{generate, SplitRng};
 use pebblyn_core::{min_feasible_budget, Cdag, MachineSpec, Move, MultiMove, Weight};

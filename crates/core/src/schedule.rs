@@ -90,33 +90,29 @@ impl Schedule {
             .sum()
     }
 
-    /// Weighted input cost: `Σ_{M1(v) ∈ I} w_v`.
-    pub fn input_cost(&self, graph: &Cdag) -> Weight {
-        self.tag_cost(graph, MoveTag::Load)
-    }
-
-    /// Weighted output cost: `Σ_{M2(v) ∈ O} w_v`.
-    pub fn output_cost(&self, graph: &Cdag) -> Weight {
-        self.tag_cost(graph, MoveTag::Store)
-    }
-
-    fn tag_cost(&self, graph: &Cdag, tag: MoveTag) -> Weight {
-        self.stream
-            .tags()
-            .iter()
-            .zip(self.stream.nodes())
-            .filter(|&(&t, _)| t == tag)
-            .map(|(_, &v)| graph.weight(v))
-            .sum()
-    }
-
-    /// Asymmetric I/O cost: `load_scale·Σ w(M1) + store_scale·Σ w(M2)`.
+    /// Asymmetric I/O cost: `load_scale·Σ w(M1) + store_scale·Σ w(M2)`,
+    /// or `None` when it overflows a [`Weight`].
     ///
     /// With `(1, 1)` this is [`Schedule::cost`]; other scales model
     /// asymmetric transfer energy (e.g. non-volatile memory writes costing
     /// an order of magnitude more than reads).
-    pub fn scaled_io_cost(&self, graph: &Cdag, load_scale: Weight, store_scale: Weight) -> Weight {
-        load_scale * self.input_cost(graph) + store_scale * self.output_cost(graph)
+    pub fn scaled_io_cost(
+        &self,
+        graph: &Cdag,
+        load_scale: Weight,
+        store_scale: Weight,
+    ) -> Option<Weight> {
+        self.stream.tags().iter().zip(self.stream.nodes()).try_fold(
+            0,
+            |total: Weight, (&tag, &v)| {
+                let scale = match tag {
+                    MoveTag::Load => load_scale,
+                    MoveTag::Store => store_scale,
+                    _ => return Some(total),
+                };
+                total.checked_add(scale.checked_mul(graph.weight(v))?)
+            },
+        )
     }
 
     /// Rewrite every move's target node — e.g. to relocate a schedule into
@@ -206,8 +202,8 @@ mod tests {
             Move::Delete(NodeId(1)),
         ]);
         assert_eq!(s.cost(&g), 16 + 32);
-        assert_eq!(s.input_cost(&g), 16);
-        assert_eq!(s.output_cost(&g), 32);
+        assert_eq!(s.scaled_io_cost(&g, 1, 0), Some(16));
+        assert_eq!(s.scaled_io_cost(&g, 0, 1), Some(32));
         assert_eq!(s.move_counts(), (1, 1, 1, 2));
     }
 

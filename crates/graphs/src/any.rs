@@ -72,6 +72,56 @@ impl fmt::Display for Workload {
     }
 }
 
+impl Workload {
+    /// How many nodes [`AnyGraph::build`] creates for these parameters,
+    /// from each family's closed form, or `None` when the count overflows
+    /// `usize` or the parameters leave the formula's range.  It allocates
+    /// nothing and takes at most 64 steps whatever the parameters, so a
+    /// caller can size an untrusted spec before building it.
+    pub fn node_count(&self) -> Option<usize> {
+        match *self {
+            // |S_1| = |S_2| = n, then each level halves: n + n + n/2 + …
+            Workload::Dwt { n, d } => (0..u32::try_from(d).ok()?)
+                .try_fold(n, |total, level| total.checked_add(n.checked_shr(level)?)),
+            // Matrix and vector, the m·n products, then m accumulators per
+            // column after the first.
+            Workload::Mvm { m, n } => {
+                let products = m.checked_mul(n)?;
+                let accumulators = n.checked_sub(1)?.checked_mul(m)?;
+                products
+                    .checked_add(n)?
+                    .checked_add(products)?
+                    .checked_add(accumulators)
+            }
+            // Inputs, then k - 1 partial sums per output window.
+            Workload::Conv { n, k } => {
+                let outputs = n.checked_sub(k)?.checked_add(1)?;
+                n.checked_add(outputs.checked_mul(k.checked_sub(1)?)?)
+            }
+            // Pixels, then per level 2·m² nodes on the current m×m LL grid.
+            Workload::Dwt2d { n, levels } => {
+                (0..u32::try_from(levels).ok()?).try_fold(n.checked_mul(n)?, |total, level| {
+                    let m = n.checked_shr(level)?;
+                    total.checked_add(m.checked_mul(m)?.checked_mul(2)?)
+                })
+            }
+            // The vector, then per output row b band entries, b products
+            // and b - 1 partial sums.
+            Workload::Banded { n, bandwidth: b } => {
+                let rows = n.checked_sub(b)?.checked_add(1)?;
+                n.checked_add(rows.checked_mul(b.checked_mul(3)?.checked_sub(1)?)?)
+            }
+        }
+    }
+
+    /// [`Workload::node_count`] for parameters a family constructor has
+    /// already validated, where `None` can only mean an overflow.
+    pub(crate) fn checked_node_count(self) -> Result<usize, ParamError> {
+        self.node_count()
+            .ok_or_else(|| ParamError(format!("{self} has more nodes than usize can count")))
+    }
+}
+
 /// Any workload graph, unified behind the operations schedulers and
 /// sweeps need.
 #[derive(Debug, Clone)]
@@ -195,17 +245,23 @@ mod tests {
         let scheme = WeightScheme::Equal(16);
         let workloads = [
             Workload::Dwt { n: 16, d: 4 },
+            Workload::Dwt { n: 24, d: 1 },
             Workload::Mvm { m: 4, n: 5 },
+            Workload::Mvm { m: 2, n: 1 },
             Workload::Conv { n: 12, k: 3 },
+            Workload::Conv { n: 5, k: 5 },
             Workload::Dwt2d { n: 8, levels: 2 },
+            Workload::Dwt2d { n: 16, levels: 3 },
             Workload::Banded {
                 n: 12,
                 bandwidth: 2,
             },
+            Workload::Banded { n: 6, bandwidth: 6 },
         ];
         for w in workloads {
             let g = AnyGraph::build(w, scheme).unwrap_or_else(|e| panic!("{w}: {e}"));
             assert!(!g.cdag().is_empty(), "{w}");
+            assert_eq!(w.node_count(), Some(g.cdag().len()), "{w}");
             assert_eq!(g.name(), w.to_string());
             assert_eq!(g.scheme(), Some(scheme));
             assert!(check_layering(&g), "{w} layering violates the contract");
@@ -215,6 +271,12 @@ mod tests {
     #[test]
     fn invalid_params_error() {
         assert!(AnyGraph::build(Workload::Dwt { n: 10, d: 4 }, WeightScheme::Equal(16)).is_err());
+        // A level count past 2^127 must not overflow the error message.
+        assert!(AnyGraph::build(Workload::Dwt { n: 16, d: 200 }, WeightScheme::Equal(16)).is_err());
+        // m·n + n overflows: a typed error before anything is allocated.
+        let huge = Workload::Mvm { m: 1 << 62, n: 2 };
+        assert_eq!(huge.node_count(), None);
+        assert!(AnyGraph::build(huge, WeightScheme::Equal(16)).is_err());
     }
 
     #[test]

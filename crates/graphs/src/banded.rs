@@ -16,7 +16,7 @@
 //! reuse.
 
 use crate::weights::WeightScheme;
-use crate::ParamError;
+use crate::{ParamError, Workload};
 use pebblyn_core::{Cdag, CdagBuilder, NodeId};
 
 /// A constructed banded-MVM graph.
@@ -38,7 +38,8 @@ impl BandedMvmGraph {
             )));
         }
         let rows = n - b + 1;
-        let mut builder = CdagBuilder::with_capacity(n + rows * b + rows * b + rows * (b - 1));
+        let mut builder =
+            CdagBuilder::with_capacity(Workload::Banded { n, bandwidth: b }.checked_node_count()?);
         // Sources: vector, then band entries row-major.
         for t in 1..=n {
             builder.node(scheme.input_weight(), format!("x{t}"));

@@ -15,7 +15,7 @@
 //! accumulation caterpillar over its window.
 
 use crate::weights::WeightScheme;
-use crate::ParamError;
+use crate::{ParamError, Workload};
 use pebblyn_core::{Cdag, CdagBuilder, NodeId};
 
 /// A constructed `Conv(n, k)` graph with structural metadata.
@@ -39,7 +39,7 @@ impl ConvGraph {
             )));
         }
         let outputs = n - k + 1;
-        let mut b = CdagBuilder::with_capacity(n + outputs * (k - 1));
+        let mut b = CdagBuilder::with_capacity(Workload::Conv { n, k }.checked_node_count()?);
         for t in 1..=n {
             b.node(scheme.input_weight(), format!("x{t}"));
         }

@@ -9,7 +9,7 @@
 //! forest of `n / 2^d` independent binary in-trees.
 
 use crate::weights::WeightScheme;
-use crate::ParamError;
+use crate::{ParamError, Workload};
 use pebblyn_core::{Cdag, CdagBuilder, NodeId, Weight};
 
 /// A constructed `DWT(n, d)` graph with its structural metadata.
@@ -36,10 +36,10 @@ impl DwtGraph {
         }
         if d >= usize::BITS as usize || n == 0 || !n.is_multiple_of(1usize << d) {
             return Err(ParamError(format!(
-                "DWT inputs n={n} must be a positive multiple of 2^d = {}",
-                1u128 << d
+                "DWT inputs n={n} must be a positive multiple of 2^{d}"
             )));
         }
+        let total = Workload::Dwt { n, d }.checked_node_count()?;
 
         // Layer sizes: |S_1| = |S_2| = n, |S_i| = |S_{i-1}| / 2 for i > 2.
         let mut sizes = vec![0usize; d + 2]; // 1-based
@@ -54,7 +54,6 @@ impl DwtGraph {
         for i in 2..=d + 1 {
             offsets[i] = offsets[i - 1] + sizes[i - 1];
         }
-        let total: usize = sizes.iter().sum();
 
         let mut b = CdagBuilder::with_capacity(total);
         #[allow(clippy::needless_range_loop)] // indices mirror the paper's 1-based S_i

@@ -11,7 +11,7 @@
 //! stay live for the column pass.
 
 use crate::weights::WeightScheme;
-use crate::ParamError;
+use crate::{ParamError, Workload};
 use pebblyn_core::{Cdag, CdagBuilder, NodeId};
 
 /// A separable `levels`-level 2-D DWT over an `n × n` image.
@@ -61,7 +61,7 @@ impl Dwt2dGraph {
         }
         let w_in = scheme.input_weight();
         let w_c = scheme.compute_weight();
-        let mut b = CdagBuilder::new();
+        let mut b = CdagBuilder::with_capacity(Workload::Dwt2d { n, levels }.checked_node_count()?);
         let pixels: Vec<Vec<NodeId>> = (0..n)
             .map(|r| (0..n).map(|c| b.node(w_in, format!("px{r}_{c}"))).collect())
             .collect();

@@ -9,7 +9,7 @@
 //! scheduler exploits.
 
 use crate::weights::WeightScheme;
-use crate::ParamError;
+use crate::{ParamError, Workload};
 use pebblyn_core::{Cdag, CdagBuilder, NodeId};
 
 /// A constructed `MVM(m, n)` graph with its structural metadata.
@@ -36,12 +36,7 @@ impl MvmGraph {
             return Err(ParamError(format!("MVM columns n={n} must be >= 1")));
         }
 
-        let s1 = m * n + n;
-        let s2 = m * n;
-        let acc_layers = n.saturating_sub(1); // S_3 … S_{n+1}
-        let total = s1 + s2 + acc_layers * m;
-
-        let mut b = CdagBuilder::with_capacity(total);
+        let mut b = CdagBuilder::with_capacity(Workload::Mvm { m, n }.checked_node_count()?);
         // S_1: column-major blocks, vector entry first.
         for c in 1..=n {
             b.node(scheme.input_weight(), format!("x{c}"));
@@ -62,6 +57,8 @@ impl MvmGraph {
             }
         }
 
+        // |S_1| and |S_2|, which cannot overflow once the node count fits.
+        let (s1, s2) = (m * n + n, m * n);
         let vector = |c: usize| NodeId(((c - 1) * (m + 1)) as u32);
         let matrix = |r: usize, c: usize| NodeId(((c - 1) * (m + 1) + r) as u32);
         let product = |r: usize, c: usize| NodeId((s1 + (c - 1) * m + r - 1) as u32);

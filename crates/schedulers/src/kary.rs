@@ -106,7 +106,8 @@ pub fn schedule_with_costs(tree: &Cdag, budget: Weight, costs: IoCosts) -> Optio
 }
 
 /// Literal implementation of Eq. (6): enumerate every parent permutation and
-/// keep mask.  Exponential in `k`; used to cross-check the subset DP.
+/// keep mask.  Exponential in `k`; used to cross-check the subset DP.  Like
+/// the DP, it drops a candidate whose cost overflows a [`Weight`].
 pub fn min_cost_bruteforce(tree: &Cdag, budget: Weight) -> Option<Weight> {
     let root = tree_root(tree);
     fn pt(
@@ -124,8 +125,10 @@ pub fn min_cost_bruteforce(tree: &Cdag, budget: Weight) -> Option<Weight> {
             if preds.is_empty() {
                 return (g.weight(v) <= b).then(|| g.weight(v));
             }
-            let wsum: Weight = preds.iter().map(|&p| g.weight(p)).sum();
-            if g.weight(v) + wsum > b {
+            let wsum = preds
+                .iter()
+                .try_fold(g.weight(v), |sum, &p| sum.checked_add(g.weight(p)));
+            if wsum.is_none_or(|w| w > b) {
                 return None;
             }
             let k = preds.len();
@@ -133,30 +136,29 @@ pub fn min_cost_bruteforce(tree: &Cdag, budget: Weight) -> Option<Weight> {
             let mut perm: Vec<usize> = (0..k).collect();
             permute(&mut perm, 0, &mut |sigma| {
                 for delta in 0..(1u32 << k) {
-                    let mut cost: Weight = 0;
+                    let mut cost: Option<Weight> = Some(0);
                     let mut kept: Weight = 0;
-                    let mut ok = true;
                     for (i, &pi) in sigma.iter().enumerate() {
                         let p = preds[pi];
-                        if kept > b {
-                            ok = false;
-                            break;
-                        }
-                        match pt(g, p, b - kept, memo) {
-                            Some(c) => cost += c,
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
+                        cost = b
+                            .checked_sub(kept)
+                            .and_then(|rest| pt(g, p, rest, memo))
+                            .and_then(|c| cost?.checked_add(c));
                         if delta & (1 << i) != 0 {
+                            // Bounded by the node's checked in-weight.
                             kept += g.weight(p);
                         } else {
-                            cost += 2 * g.weight(p);
+                            cost = g
+                                .weight(p)
+                                .checked_mul(2)
+                                .and_then(|spill| cost?.checked_add(spill));
+                        }
+                        if cost.is_none() {
+                            break;
                         }
                     }
-                    if ok && best.is_none_or(|bst| cost < bst) {
-                        best = Some(cost);
+                    if cost.is_some_and(|c| best.is_none_or(|bst| c < bst)) {
+                        best = cost;
                     }
                 }
             });
@@ -180,7 +182,7 @@ pub fn min_cost_bruteforce(tree: &Cdag, budget: Weight) -> Option<Weight> {
 
     with_large_stack(|| {
         let mut memo = FastHashMap::default();
-        pt(tree, root, budget, &mut memo).map(|c| c + tree.weight(root))
+        pt(tree, root, budget, &mut memo).and_then(|c| c.checked_add(tree.weight(root)))
     })
 }
 

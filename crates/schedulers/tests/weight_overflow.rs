@@ -3,6 +3,8 @@
 //! `2^64`), every answer equals the exact optimum where the exact search
 //! finds one and is `None` where it reports `WeightOverflow`.  A candidate
 //! whose cost sum overflows is dropped, never wrapped into a small winner.
+//! The literal Eq. (6) enumeration, `kary::min_cost_bruteforce`, is held to
+//! the same references, and a scaled replay cost that overflows is `None`.
 
 use pebblyn_core::{
     min_feasible_budget, validate_schedule, Cdag, CdagBuilder, ScheduleRequest, Weight,
@@ -59,11 +61,16 @@ fn kary_answers_match_the_exact_search() {
                 let truth = exact(&g, b, costs);
                 let at = format!("{name} at b={b}, {costs:?}");
                 assert_eq!(kary::min_cost_with_costs(&g, b, costs), truth, "{at}");
+                if costs == IoCosts::default() {
+                    // The literal Eq. (6) enumeration, too: on the join at
+                    // 3·2^62 spilling x or y would cost past 2^64.
+                    assert_eq!(kary::min_cost_bruteforce(&g, b), truth, "{at}");
+                }
                 let schedule = kary::schedule_with_costs(&g, b, costs);
                 assert_eq!(schedule.is_some(), truth.is_some(), "{at}");
                 if let Some(s) = schedule {
                     validate_schedule(&g, b, &s).unwrap_or_else(|e| panic!("{at}: {e}"));
-                    assert_eq!(Some(s.scaled_io_cost(&g, costs.load, costs.store)), truth);
+                    assert_eq!(s.scaled_io_cost(&g, costs.load, costs.store), truth);
                 }
             }
         }
@@ -87,7 +94,8 @@ fn memstate_answers_match_the_exact_search() {
 }
 
 /// The daemon's miss path answers the join at its true cost, cost-only and
-/// in full (load x, load y, compute s, store s, plus deletes).
+/// in full (load x, load y, compute s, store s, plus deletes).  At prices
+/// (2, 2) that schedule would cost 6·2^62, which no `u64` holds.
 #[test]
 fn requests_answer_the_join_at_its_true_cost() {
     let g = AnyGraph::custom("join", join());
@@ -96,5 +104,7 @@ fn requests_answer_the_join_at_its_true_cost() {
     assert_eq!(cost_only.cost(), 3 * W);
     let full = api::execute(&req).expect("full answer validates");
     assert_eq!(full.cost(), 3 * W);
-    assert!(full.schedule().is_some());
+    let schedule = full.schedule().expect("a full answer has moves");
+    assert_eq!(schedule.scaled_io_cost(g.cdag(), 1, 1), Some(3 * W));
+    assert_eq!(schedule.scaled_io_cost(g.cdag(), 2, 2), None);
 }

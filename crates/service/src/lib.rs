@@ -30,10 +30,12 @@
 //! * [`server`] — bounded-queue worker pool (load shedding as the
 //!   backpressure policy) plus stdio and unix-socket serving loops.
 //!
-//! The daemon answers through the *same* registry executor as the CLI and
-//! the sweep engine, so a served schedule can never diverge from an
-//! in-process solve; replay validation happens inside the executor before
-//! any answer is cached or returned.
+//! The daemon solves through the *same* registry executor as the CLI and
+//! the sweep engine, and replay validation happens inside the executor
+//! before any answer is cached or returned.  An identity hit returns the
+//! bytes a fresh solve would; a canonical hit returns a valid schedule of
+//! an isomorphic graph, whose cost and moves can differ from a cold solve
+//! of the requester's labels.
 //!
 //! ```
 //! use pebblyn_core::ScheduleRequest;

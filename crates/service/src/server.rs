@@ -55,7 +55,6 @@ struct Job {
 
 /// A worker pool over one [`Service`].
 pub struct Server {
-    service: Arc<Service>,
     tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     queued: Arc<AtomicU64>,
@@ -94,16 +93,10 @@ impl Server {
             })
             .collect();
         Server {
-            service,
             tx: Some(tx),
             workers: handles,
             queued,
         }
-    }
-
-    /// The service behind the pool.
-    pub fn service(&self) -> &Service {
-        &self.service
     }
 
     /// Submit a request without blocking.  The returned channel yields
@@ -219,9 +212,9 @@ pub fn serve_stream(
 /// Serve a unix socket until a client sends a shutdown frame.
 ///
 /// Connections are handled one at a time in accept order — the worker
-/// pool parallelism lives *behind* the queue, and the load generator
-/// drives a single pipelined connection — which keeps the transport free
-/// of per-connection thread management.
+/// pool parallelism lives *behind* the queue, and a client such as the
+/// perfbench harness drives a single connection — which keeps the
+/// transport free of per-connection thread management.
 pub fn serve_unix(server: &Server, path: &Path) -> std::io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
@@ -295,10 +288,7 @@ mod tests {
         // One worker, depth-1 queue, and a worker stalled on a slow MVM
         // solve: subsequent submissions must shed, not block.
         let server = Server::start(
-            Arc::new(Service::new(&ServiceConfig {
-                cache: false,
-                ..ServiceConfig::default()
-            })),
+            Arc::new(Service::new(&ServiceConfig { cache: false })),
             &ServerConfig {
                 queue_depth: 1,
                 workers: 1,
@@ -377,6 +367,60 @@ mod tests {
         assert_eq!(kind, RejectKind::BadRequest);
         assert!(message.contains("2^64"), "names the overflow: {message}");
         server.shutdown();
+    }
+
+    /// A 69-byte frame asking for `MVM(2^62, 2)` decodes cleanly, but its
+    /// node count overflows; `MVM(2^30, 2)` fits a `usize` but is far over
+    /// the frame's item cap.  Both are bad requests answered under their
+    /// own ids before anything is built, and the pool still answers the
+    /// valid request sent after them.
+    #[test]
+    fn oversized_workload_specs_are_bad_requests() {
+        let mvm = |id, m| Request {
+            id,
+            ask: ScheduleRequest::new(
+                GraphSpec::Workload {
+                    workload: Workload::Mvm { m, n: 2 },
+                    scheme: WeightScheme::Equal(16),
+                },
+                16 * 256,
+                "mvm-tiling",
+            ),
+            no_cache: false,
+        };
+        let mut input = Vec::new();
+        let overflowing = wire::encode_request(&mvm(1, 1 << 62));
+        assert_eq!(overflowing.len(), 69);
+        wire::write_frame(&mut input, &overflowing).unwrap();
+        wire::write_frame(&mut input, &wire::encode_request(&mvm(2, 1 << 30))).unwrap();
+        wire::write_frame(&mut input, &wire::encode_request(&request(3))).unwrap();
+
+        let server = Server::start(
+            Arc::new(Service::new(&ServiceConfig::default())),
+            &ServerConfig::default(),
+        );
+        let mut output = Vec::new();
+        serve_stream(&server, &input[..], &mut output).unwrap();
+        server.shutdown();
+
+        let mut r = &output[..];
+        let mut responses = Vec::new();
+        while let Some(payload) = wire::read_frame(&mut r).unwrap() {
+            let Ok(Frame::Response(resp)) = wire::decode_payload(&payload) else {
+                panic!("expected a response frame")
+            };
+            responses.push(resp);
+        }
+        assert_eq!(responses.len(), 3, "every frame is answered");
+        for (resp, id) in responses[..2].iter().zip([1, 2]) {
+            assert_eq!(resp.id, id);
+            let Outcome::Rejected { kind, message, .. } = &resp.outcome else {
+                panic!("expected rejection, got {:?}", resp.outcome)
+            };
+            assert_eq!(*kind, RejectKind::BadRequest, "{message}");
+        }
+        assert_eq!(responses[2].id, 3);
+        assert!(matches!(responses[2].outcome, Outcome::Ok { .. }));
     }
 
     #[test]

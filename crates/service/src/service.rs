@@ -1,22 +1,21 @@
 //! The daemon-side request handler: cache in front, engine behind.
 //!
 //! [`Service::handle`] is the single synchronous entry point shared by
-//! every transport (stdio framing, unix socket, the in-process load
-//! generator): decode-free typed [`Request`] in, typed [`Response`] out.
-//! The handler builds the graph and consults the [`ScheduleCache`] in
-//! two steps — the `O(V + E)` identity form first (byte-identical
-//! repeats, the dominant pattern, skip canonicalization entirely), the
-//! canonical form only on identity miss — and only on a full miss pays
-//! for a real solve through `pebblyn_schedulers::api::execute`, the same
-//! executor the CLI and the sweep engine use, so a daemon answer can
-//! never diverge from an in-process one.  Requests whose scheduler is
-//! unknown or does not support the graph bypass the cache for the same
-//! reason: the cache must never answer where the executor would reject.
+//! every transport (stdio framing, unix socket, an in-process
+//! [`Server`](crate::Server)): decode-free typed [`Request`] in, typed
+//! [`Response`] out.  The handler builds the graph and consults the
+//! [`ScheduleCache`] in two steps — the `O(V + E)` identity form first
+//! (byte-identical repeats, the dominant pattern, skip canonicalization
+//! entirely), the canonical form only on identity miss — and only on a
+//! full miss pays for a real solve through
+//! `pebblyn_schedulers::api::execute`, the same executor the CLI and the
+//! sweep engine use.  Requests whose scheduler is unknown or does not
+//! support the graph bypass the cache: the cache must never answer where
+//! the executor would reject.
 
 use crate::cache::ScheduleCache;
-use crate::canon::{
-    canonical_form_with_budget, identity_form, CanonicalForm, DEFAULT_SEARCH_BUDGET,
-};
+use crate::canon::{canonical_form, identity_form, CanonicalForm};
+use crate::wire::MAX_ITEMS;
 use pebblyn_core::{Cdag, Schedule, ScheduleRequest, Weight};
 use pebblyn_graphs::{AnyGraph, WeightScheme, Workload};
 use pebblyn_schedulers::api;
@@ -43,20 +42,27 @@ pub enum GraphSpec {
 impl GraphSpec {
     /// Build the workload-erased graph, consuming the spec: explicit
     /// CDAGs move in without a copy (the handler owns its request, and
-    /// graph cloning would otherwise dominate a cache hit's latency).
+    /// graph cloning would otherwise dominate a cache hit's latency).  A
+    /// workload spec is sized before anything is allocated: more nodes
+    /// than a custom graph's frame may carry ([`MAX_ITEMS`]), or a count
+    /// that overflows, is an error.
     fn build(self) -> Result<AnyGraph, String> {
         match self {
             GraphSpec::Custom(cdag) => Ok(AnyGraph::custom("wire-custom", cdag)),
-            GraphSpec::Workload { workload, scheme } => {
-                AnyGraph::build(workload, scheme).map_err(|e| e.to_string())
-            }
+            GraphSpec::Workload { workload, scheme } => match workload.node_count() {
+                Some(nodes) if nodes > MAX_ITEMS as usize => Err(format!(
+                    "{workload} has {nodes} nodes, over the cap of {MAX_ITEMS}"
+                )),
+                // An overflowing count fails the family's own checked build.
+                _ => AnyGraph::build(workload, scheme).map_err(|e| e.to_string()),
+            },
         }
     }
 }
 
 /// One service request: a [`ScheduleRequest`] over a [`GraphSpec`], plus
 /// the wire-level id used to pair responses on a pipelined connection and
-/// a per-request cache opt-out (the load generator's control runs).
+/// a per-request cache opt-out.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
@@ -149,34 +155,27 @@ impl Response {
 pub struct ServiceConfig {
     /// Enable the canonicalizing schedule cache.
     pub cache: bool,
-    /// Cache shard count (lock domains).
-    pub shards: usize,
-    /// Canonicalization search budget (see [`crate::canon`]).
-    pub canon_budget: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            cache: true,
-            shards: 16,
-            canon_budget: DEFAULT_SEARCH_BUDGET,
-        }
+        ServiceConfig { cache: true }
     }
 }
+
+/// Lock domains per cache index.
+const CACHE_SHARDS: usize = 16;
 
 /// The request handler: a cache plus the registry executor.
 pub struct Service {
     cache: Option<ScheduleCache>,
-    canon_budget: usize,
 }
 
 impl Service {
     /// Build a service from config.
     pub fn new(cfg: &ServiceConfig) -> Self {
         Service {
-            cache: cfg.cache.then(|| ScheduleCache::new(cfg.shards)),
-            canon_budget: cfg.canon_budget,
+            cache: cfg.cache.then(|| ScheduleCache::new(CACHE_SHARDS)),
         }
     }
 
@@ -185,7 +184,7 @@ impl Service {
         Service::new(&ServiceConfig::default())
     }
 
-    /// The cache, when enabled (the load generator reads its stats).
+    /// The cache, when enabled (`pebblyn serve` reports its stats).
     pub fn cache(&self) -> Option<&ScheduleCache> {
         self.cache.as_ref()
     }
@@ -256,7 +255,7 @@ impl Service {
         // forms are dropped — they can only match byte-identical
         // instances, which level 1 already ruled out.
         let form = cache
-            .map(|_| canonical_form_with_budget(graph.cdag(), self.canon_budget))
+            .map(|_| canonical_form(graph.cdag()))
             .filter(CanonicalForm::is_exact);
         if let (Some(cache), Some(form)) = (cache, &form) {
             if let Some(hit) = cache.lookup(form, &scheduler, &machine, need_moves) {

@@ -56,8 +56,9 @@ pub const MAGIC: u16 = 0x7077;
 pub const VERSION: u8 = 2;
 /// Upper bound on a frame payload (guards allocations on hostile input).
 pub const MAX_FRAME: u32 = 64 << 20;
-/// Upper bound on nodes/edges/moves in one frame.
-const MAX_ITEMS: u32 = 1 << 24;
+/// Upper bound on nodes/edges/moves in one frame, and on the nodes a
+/// workload spec may ask the server to build.
+pub(crate) const MAX_ITEMS: u32 = 1 << 24;
 
 /// A decoded frame.
 #[derive(Debug, Clone)]

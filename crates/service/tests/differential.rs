@@ -78,10 +78,7 @@ fn cached_service_is_byte_equivalent_to_control_on_500_request_trace() {
         .map(|i| generate(TRACE_SEED, i).graph)
         .collect();
     let cached = Service::with_default_config();
-    let control = Service::new(&ServiceConfig {
-        cache: false,
-        ..ServiceConfig::default()
-    });
+    let control = Service::new(&ServiceConfig { cache: false });
 
     let mut relabeled_hits = 0u64;
     for i in 0..REQUESTS {
